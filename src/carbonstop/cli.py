@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -131,37 +132,42 @@ def _resolve_solver_config(
     config: dict, seed: int | None, samples: int | None, grid: int | None
 ) -> SolverConfig:
     block = dict(config.get("solver", {}))
-    if seed is not None:
-        block["seed"] = seed
-    if samples is not None:
-        block["samples"] = samples
-    if grid is not None:
-        block["grid"] = grid
-    price_grid = None
-    if "grid_min" in block or "grid_max" in block:
-        if not ("grid_min" in block and "grid_max" in block):
-            raise ConfigError("grid_min and grid_max must be given together")
-        price_grid = geometric_price_grid(
-            float(block["grid_min"]),
-            float(block["grid_max"]),
-            int(block.get("grid", 200)),
-        )
+    for key, flag in (("seed", seed), ("samples", samples), ("grid", grid)):
+        if flag is not None:
+            block[key] = flag
+    if ("grid_min" in block) != ("grid_max" in block):
+        raise ConfigError("grid_min and grid_max must be given together")
+    default = SolverConfig()
     try:
-        return SolverConfig(
-            samples_per_node=int(block.get("samples", 2000)),
-            grid_size=int(block.get("grid", 200)),
-            seed=Seed(int(block.get("seed", 0))),
-            stop_tol_scale=float(block.get("stop_tol_scale", 1e-6)),
-            price_grid=price_grid,
+        solver_config = SolverConfig(
+            samples_per_node=int(block.get("samples", default.samples_per_node)),
+            grid_size=int(block.get("grid", default.grid_size)),
+            seed=Seed(int(block.get("seed", default.seed.value))),
+            stop_tol_scale=float(block.get("stop_tol_scale", default.stop_tol_scale)),
         )
-    except (TypeError, ValueError) as exc:
+        if "grid_min" in block:
+            lo, hi = float(block["grid_min"]), float(block["grid_max"])
+            price_grid = geometric_price_grid(lo, hi, solver_config.grid_size)
+            solver_config = replace(solver_config, price_grid=price_grid)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
+    return solver_config
 
 
 def _resolve_plant(config: dict) -> PlantParams:
     if "plant" not in config:
         raise ConfigError("config missing 'plant' section")
     return PlantParams.from_dict(config["plant"])
+
+
+def _resolve_run(
+    config_path: str, seed: int | None, samples: int | None, grid: int | None
+) -> tuple[dict, GbmParams, SolverConfig]:
+    """The prologue every config-driven command shares."""
+    config = _load_config(config_path)
+    return config, _resolve_gbm(config), _resolve_solver_config(
+        config, seed, samples, grid
+    )
 
 
 def _boundary_summary(boundary, solver_config, elapsed) -> dict:
@@ -232,16 +238,13 @@ def estimate(csv_path, date_column, price_column, volume_column, start, end):
 @handle_errors
 def solve(config_path, seed, out_dir, samples, grid):
     """Solve the halt boundary; writes boundary.csv and summary.json."""
-    config = _load_config(config_path)
-    gbm = _resolve_gbm(config)
+    config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
     plant = _resolve_plant(config)
-    solver_config = _resolve_solver_config(config, seed, samples, grid)
     smooth = config.get("solver", {}).get("smooth", "none")
 
     start_time = time.perf_counter()
     _, boundary = solve_boundary(gbm, plant, solver_config)
-    if smooth != "none":
-        boundary = smooth_boundary(boundary, method=smooth)
+    boundary = smooth_boundary(boundary, method=smooth)
     elapsed = time.perf_counter() - start_time
 
     out = Path(out_dir)
@@ -257,10 +260,8 @@ def solve(config_path, seed, out_dir, samples, grid):
 @handle_errors
 def monitor_cmd(config_path, seed, out_dir, samples, grid):
     """Solve the boundary and test daily prices against it; writes monitor.json."""
-    config = _load_config(config_path)
-    gbm = _resolve_gbm(config)
+    config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
     plant = _resolve_plant(config)
-    solver_config = _resolve_solver_config(config, seed, samples, grid)
     block = config.get("monitor")
     if not block:
         raise ConfigError("config missing 'monitor' section")
@@ -268,7 +269,7 @@ def monitor_cmd(config_path, seed, out_dir, samples, grid):
         series = load_price_csv(block["prices_csv"], columns=block.get("columns"))
         prices = series.prices
     elif "prices" in block:
-        prices = [float(v) for v in block["prices"]]
+        prices = block["prices"]
     else:
         raise ConfigError("monitor config needs 'prices_csv' or 'prices'")
 
@@ -285,12 +286,10 @@ def monitor_cmd(config_path, seed, out_dir, samples, grid):
 @handle_errors
 def upgrade_cmd(config_path, seed, out_dir, samples, grid):
     """Solve before/after/composite boundaries around a plant upgrade."""
-    config = _load_config(config_path)
-    gbm = _resolve_gbm(config)
+    config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
     plant = _resolve_plant(config)
     if plant.upgrade is None:
         raise ConfigError("plant config has no 'upgrade' block")
-    solver_config = _resolve_solver_config(config, seed, samples, grid)
 
     start_time = time.perf_counter()
     before, after, composite = apply_upgrade(gbm, plant, solver_config)
@@ -311,9 +310,7 @@ def upgrade_cmd(config_path, seed, out_dir, samples, grid):
 @handle_errors
 def surface_cmd(config_path, seed, out_dir, samples, grid):
     """Sweep unit-profit levels into a stopping surface B(t, p)."""
-    config = _load_config(config_path)
-    gbm = _resolve_gbm(config)
-    solver_config = _resolve_solver_config(config, seed, samples, grid)
+    config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
     block = config.get("surface")
     if not block:
         raise ConfigError("config missing 'surface' section")

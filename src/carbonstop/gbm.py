@@ -25,10 +25,12 @@ class GbmParams:
     sigma: float
 
     def __post_init__(self):
-        if not (self.y0 > 0):
-            raise ConfigError(f"y0 must be positive, got {self.y0}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
+        if not (0 < self.y0 < math.inf):
+            raise ConfigError(f"y0 must be positive and finite, got {self.y0}")
+        if not math.isfinite(self.mu):
+            raise ConfigError(f"mu must be finite, got {self.mu}")
+        if not (0 <= self.sigma < math.inf):
+            raise ConfigError(f"sigma must be nonnegative and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)

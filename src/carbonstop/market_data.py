@@ -42,8 +42,8 @@ class PriceSeries:
                     f"non-monotone dates: {self.dates[i]} follows {self.dates[i - 1]}"
                 )
         for i, p in enumerate(self.prices):
-            if not (p > 0):
-                raise DataError(f"non-positive price {p} at row {i}")
+            if not (0 < p < math.inf):
+                raise DataError(f"non-positive or non-finite price {p} at row {i}")
         for i, v in enumerate(self.volumes):
             if v < 0:
                 raise DataError(f"negative volume {v} at row {i}")

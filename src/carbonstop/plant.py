@@ -3,8 +3,9 @@
 A plant emits M tons of CO2 per trading day and earns P currency units per
 ton emitted.  Halting production at day tau keeps the profit earned so far
 and sells the unused allowance at the horizon price, giving the reward
-M*P*tau + M*Y_T*(T - tau).  An optional upgrade switches (M, P) to new
-values from a given trading day on.
+M*P*tau + M*Y_T*(T - tau).  (M, P) stay constant over the horizon.  An
+optional upgrade block names new values from a given trading day on; it is
+read only by `scenario.apply_upgrade`, which solves each side separately.
 """
 from __future__ import annotations
 
@@ -24,10 +25,12 @@ class Upgrade:
     new_emission_rate: float  # M after the upgrade
 
     def __post_init__(self):
-        if not (self.new_unit_profit > 0):
-            raise ConfigError("upgraded unit profit must be positive")
-        if not (self.new_emission_rate > 0):
-            raise ConfigError("upgraded emission rate must be positive")
+        if not (0 <= self.effective_day < math.inf):
+            raise ConfigError("upgrade effective day must be finite and >= 0")
+        if not (0 < self.new_unit_profit < math.inf):
+            raise ConfigError("upgraded unit profit must be positive and finite")
+        if not (0 < self.new_emission_rate < math.inf):
+            raise ConfigError("upgraded emission rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -40,27 +43,14 @@ class PlantParams:
     upgrade: Upgrade | None = None
 
     def __post_init__(self):
-        if not (self.emission_rate > 0):
-            raise ConfigError("emission rate M must be positive")
-        if not (self.unit_profit > 0):
-            raise ConfigError("unit profit P must be positive")
-        if not (self.horizon >= 1):
-            raise ConfigError("horizon T must be >= 1 trading day")
-        if self.upgrade is not None:
-            if not (0 <= self.upgrade.effective_day <= self.horizon):
-                raise ConfigError("upgrade effective day must lie in [0, T]")
-
-    def effective_params(self, t: float) -> tuple[float, float]:
-        """(M, P) in force at day t, honoring the upgrade if one applies."""
-        if self.upgrade is not None and t >= self.upgrade.effective_day:
-            return self.upgrade.new_emission_rate, self.upgrade.new_unit_profit
-        return self.emission_rate, self.unit_profit
-
-    def max_unit_profit(self) -> float:
-        """Largest P in force anywhere on the horizon (used for scaling)."""
-        if self.upgrade is not None:
-            return max(self.unit_profit, self.upgrade.new_unit_profit)
-        return self.unit_profit
+        if not (0 < self.emission_rate < math.inf):
+            raise ConfigError("emission rate M must be positive and finite")
+        if not (0 < self.unit_profit < math.inf):
+            raise ConfigError("unit profit P must be positive and finite")
+        if not (1 <= self.horizon < math.inf):
+            raise ConfigError("horizon T must be finite and >= 1 trading day")
+        if self.upgrade is not None and self.upgrade.effective_day > self.horizon:
+            raise ConfigError("upgrade effective day must lie in [0, T]")
 
     def to_dict(self) -> dict:
         out = {"M": self.emission_rate, "P": self.unit_profit, "T": self.horizon}
@@ -104,12 +94,11 @@ def reward(plant: PlantParams, tau: float, y_terminal: float) -> float:
 def immediate_value(plant: PlantParams, gbm: GbmParams, t: float, y: float) -> float:
     """Expected reward of halting right now at (t, y).
 
-    Closed form: M*P*t + M*y*exp(mu*(T - t))*(T - t), with (M, P) the
-    parameters in force at t.
+    Closed form: M*P*t + M*y*exp(mu*(T - t))*(T - t).
     """
     if not (0 <= t <= plant.horizon):
         raise ConfigError(f"t={t} outside [0, {plant.horizon}]")
-    m, p = plant.effective_params(t)
+    m, p = plant.emission_rate, plant.unit_profit
     remaining = plant.horizon - t
     return m * p * t + m * y * math.exp(gbm.mu * remaining) * remaining
 
@@ -119,5 +108,4 @@ def lower_bound(plant: PlantParams, gbm: GbmParams, t: float) -> float:
 
     Every stopping price, and hence the free boundary, lies at or above it.
     """
-    _, p = plant.effective_params(t)
-    return p * math.exp(-gbm.mu * (plant.horizon - t))
+    return plant.unit_profit * math.exp(-gbm.mu * (plant.horizon - t))

@@ -53,12 +53,18 @@ def monitor(boundary: Boundary, prices) -> MonitorReport:
 
     `prices` is a PriceSeries or plain sequence aligned by position with the
     boundary's time grid, index 0 = t_0.  ABOVE_GRID boundary entries can
-    never be crossed.
+    never be crossed.  Every price must be a positive finite number.
     """
     if isinstance(prices, PriceSeries):
-        values = np.asarray(prices.prices, dtype=float)
-    else:
+        prices = prices.prices
+    try:
         values = np.asarray(prices, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"prices must be numbers: {exc}") from exc
+    bad = ~(np.isfinite(values) & (values > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"price {values[i]} at index {i} is not positive and finite")
     if len(values) > len(boundary.times):
         raise DataError(
             f"{len(values)} prices exceed the boundary grid of "
@@ -186,8 +192,8 @@ def surface(
     is only a placeholder for the plant parameter object.
     """
     p_values = np.asarray(sorted(p_values), dtype=float)
-    if not len(p_values) or not np.all(p_values > 0):
-        raise ConfigError("p_values must be nonempty and positive")
+    if not len(p_values) or not np.all(p_values > 0) or np.any(np.diff(p_values) == 0):
+        raise ConfigError("p_values must be nonempty, positive and distinct")
     config = config or SolverConfig()
 
     plants = [

@@ -39,8 +39,12 @@ class TimeGrid:
     delta: float = 1.0
 
     def __post_init__(self):
-        if not (self.delta > 0):
-            raise ConfigError(f"time step must be positive, got {self.delta}")
+        if not (0 < self.delta < math.inf):
+            raise ConfigError(
+                f"time step must be positive and finite, got {self.delta}"
+            )
+        if not math.isfinite(self.horizon):
+            raise ConfigError(f"horizon must be finite, got {self.horizon}")
         n = self.horizon / self.delta
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ConfigError(
@@ -90,12 +94,12 @@ def default_price_grid(
     continuation value clamped to the edge, which biases the whole lattice
     low if the grid floor is reachable with non-negligible probability.
     """
-    p_max = plant.max_unit_profit()
-    l0 = p_max * math.exp(-gbm.mu * plant.horizon)
+    p = plant.unit_profit
+    l0 = p * math.exp(-gbm.mu * plant.horizon)
     log_drift = (gbm.mu - 0.5 * gbm.sigma**2) * plant.horizon
     spread = 3.0 * gbm.sigma * math.sqrt(plant.horizon)
-    lo = 0.5 * min(gbm.y0, p_max, l0) * math.exp(min(0.0, log_drift) - spread)
-    hi = 3.0 * max(gbm.y0, p_max, l0)
+    lo = 0.5 * min(gbm.y0, p, l0) * math.exp(min(0.0, log_drift) - spread)
+    hi = 3.0 * max(gbm.y0, p, l0)
     return geometric_price_grid(lo, hi, size)
 
 
@@ -109,10 +113,11 @@ def geometric_price_grid(lo: float, hi: float, size: int) -> PriceGrid:
 class SolverConfig:
     """Monte Carlo solver knobs.
 
-    `stop_tol_scale` sets the absolute tolerance for declaring U = 0 as
-    stop_tol_scale * P * T, the natural magnitude of U.  `price_grid`
-    overrides the auto-built geometric grid (needed for common-grid
-    comparisons across parameter variants).
+    `stop_tol_scale` (finite, >= 0) sets the absolute tolerance for
+    declaring U = 0 as stop_tol_scale * P * T, the natural magnitude of U
+    for the plant's constant unit profit P.  `price_grid` overrides the
+    auto-built geometric grid (needed for common-grid comparisons across
+    parameter variants).
     """
 
     samples_per_node: int = DEFAULT_SAMPLES
@@ -126,6 +131,10 @@ class SolverConfig:
             raise ConfigError("samples_per_node must be >= 100")
         if self.grid_size < 2:
             raise ConfigError("grid_size must be >= 2")
+        if not (0 <= self.stop_tol_scale < math.inf):
+            raise ConfigError(
+                f"stop_tol_scale must be finite and >= 0, got {self.stop_tol_scale}"
+            )
 
     def resolve_grid(self, gbm: GbmParams, plant: PlantParams) -> PriceGrid:
         if self.price_grid is not None:
@@ -142,14 +151,6 @@ class ValueGrid:
     U: np.ndarray  # shape (n_times, n_levels)
     G: np.ndarray
     V: np.ndarray
-
-    def to_csv(self, path) -> None:
-        """Debug dump of the U matrix, one row per time."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t"] + [f"{y:.6g}" for y in self.price_grid.levels])
-            for t, row in zip(self.time_grid.times, self.U):
-                writer.writerow([f"{t:.6g}"] + [f"{u:.6g}" for u in row])
 
 
 @dataclass(frozen=True)
@@ -190,47 +191,24 @@ def _slice_draws(seed: Seed, step: int, samples: int) -> np.ndarray:
     return seed.stream(step).standard_normal(samples)
 
 
-def _interp_corner(x: np.ndarray, levels: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Linear interpolation with corner reconstruction at the sign change.
-
-    In the deterministic (sigma = 0) recursion the continuation value is
-    piecewise linear with a single corner exactly at its zero crossing, so
-    the plain chord across the sign-change cell overestimates by up to the
-    full slope jump, and the error compounds every backward step.  Inside
-    that one cell the two adjacent secants are extended and their maximum
-    taken (exact for a convex corner), capped by the chord.
-    """
-    out = np.interp(x, levels, values)
-    positive = values > 0
-    if positive.all() or not positive.any() or not positive[0]:
-        return out
-    s = int(np.nonzero(positive)[0][-1])  # values[s] > 0 >= values[s + 1]
-    if s < 1 or s + 2 >= len(levels):
-        return out
-    lo, hi = levels[s], levels[s + 1]
-    in_cell = (x > lo) & (x < hi)
-    if not in_cell.any():
-        return out
-    left_slope = (values[s] - values[s - 1]) / (levels[s] - levels[s - 1])
-    right_slope = (values[s + 2] - values[s + 1]) / (levels[s + 2] - levels[s + 1])
-    xc = x[in_cell]
-    left = values[s] + left_slope * (xc - lo)
-    right = values[s + 1] + right_slope * (xc - hi)
-    out[in_cell] = np.minimum(out[in_cell], np.maximum(left, right))
-    return out
-
-
 def solve_backward(
     gbm: GbmParams,
     plant: PlantParams,
     time_grid: TimeGrid | None = None,
     config: SolverConfig | None = None,
 ) -> ValueGrid:
-    """Fill the value lattice by the backward recursion.
+    """Fill the value lattice by the backward recursion, for constant (M, P).
 
     Off-grid continuation values are interpolated linearly in y and clamped
     to the edge values outside the grid.  Deterministic for a fixed seed.
+    A plant with an upgrade block is refused: `scenario.apply_upgrade`
+    compares its two sides as separate constant solves.
     """
+    if plant.upgrade is not None:
+        raise ConfigError(
+            "the solver takes constant (M, P); solve a plant with an 'upgrade' "
+            "block through apply_upgrade (CLI: carbonstop upgrade)"
+        )
     config = config or SolverConfig()
     time_grid = time_grid or TimeGrid(horizon=plant.horizon)
     if abs(time_grid.horizon - plant.horizon) > 1e-9:
@@ -240,47 +218,46 @@ def solve_backward(
     levels = grid.levels
     times = time_grid.times
     delta = time_grid.delta
-    n = time_grid.n_steps
-    horizon = plant.horizon
+    remaining = plant.horizon - times
+    p = plant.unit_profit
 
-    U = np.zeros((n + 1, len(levels)))
-    # C is the unclamped continuation estimate, U = max(0, C).  Interpolating
-    # C and clamping at evaluation avoids the kink that U itself has at the
-    # boundary; interpolating the clamped U would overshoot at that kink and
-    # bias the boundary upward by several grid cells.
-    C = np.zeros(len(levels))
-    drift = (gbm.mu - 0.5 * gbm.sigma**2) * delta
-    vol = gbm.sigma * math.sqrt(delta)
-
-    for i in range(n - 1, -1, -1):
-        t = times[i]
-        _, p_eff = plant.effective_params(t)
-        z = _slice_draws(config.seed, i, config.samples_per_node)
-        factors = np.exp(drift + vol * z)
-        # candidates[j, k] = y_j * xi_k; np.interp clamps outside the grid
-        candidates = levels[:, None] * factors[None, :]
-        if gbm.sigma == 0:
-            cont = np.maximum(0.0, _interp_corner(candidates, levels, C))
-        else:
+    if gbm.sigma == 0:
+        # Along the deterministic path y*exp(mu*(T - t)) is constant, so the
+        # recursion sums to U(t, y) = (T - t) * max(0, P - y*exp(mu*(T - t))).
+        horizon_price = np.exp(gbm.mu * remaining)[:, None] * levels
+        U = remaining[:, None] * np.maximum(0.0, p - horizon_price)
+    else:
+        U = np.zeros((len(times), len(levels)))
+        # C is the unclamped continuation estimate, U = max(0, C).
+        # Interpolating C and clamping at evaluation avoids the kink that U
+        # itself has at the boundary; interpolating the clamped U would
+        # overshoot at that kink and bias the boundary upward by several
+        # grid cells.
+        C = np.zeros(len(levels))
+        drift = (gbm.mu - 0.5 * gbm.sigma**2) * delta
+        vol = gbm.sigma * math.sqrt(delta)
+        for i in range(time_grid.n_steps - 1, -1, -1):
+            z = _slice_draws(config.seed, i, config.samples_per_node)
+            factors = np.exp(drift + vol * z)
+            # candidates[j, k] = y_j * xi_k; np.interp clamps outside the grid
+            candidates = levels[:, None] * factors[None, :]
             cont = np.maximum(0.0, np.interp(candidates, levels, C))
-        running = delta * (p_eff - levels * math.exp(gbm.mu * (horizon - t)))
-        C = cont.mean(axis=1) + running
-        U[i] = np.maximum(0.0, C)
-        if not np.all(np.isfinite(U[i])):
-            raise NumericError(f"non-finite values in slice t={t}")
+            running = delta * (p - levels * math.exp(gbm.mu * remaining[i]))
+            C = cont.mean(axis=1) + running
+            U[i] = np.maximum(0.0, C)
+            if not np.all(np.isfinite(U[i])):
+                raise NumericError(f"non-finite values in slice t={times[i]}")
 
     G = np.empty_like(U)
     V = np.empty_like(U)
     for i, t in enumerate(times):
-        m_eff, _ = plant.effective_params(t)
         G[i] = [immediate_value(plant, gbm, t, y) for y in levels]
-        V[i] = m_eff * U[i] + G[i]
-
+        V[i] = plant.emission_rate * U[i] + G[i]
     return ValueGrid(time_grid=time_grid, price_grid=grid, U=U, G=G, V=V)
 
 
 def stop_tolerance(plant: PlantParams, config: SolverConfig) -> float:
-    return config.stop_tol_scale * plant.max_unit_profit() * plant.horizon
+    return config.stop_tol_scale * plant.unit_profit * plant.horizon
 
 
 def extract_boundary(
@@ -308,8 +285,7 @@ def extract_boundary(
 
     for i, t in enumerate(times):
         if i == n:
-            _, p_eff = plant.effective_params(t)
-            hits = np.nonzero(levels >= p_eff)[0]
+            hits = np.nonzero(levels >= plant.unit_profit)[0]
         else:
             hits = np.nonzero(grid.U[i] <= tol)[0]
         if len(hits):

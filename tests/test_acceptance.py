@@ -328,10 +328,14 @@ def test_determinism_byte_identical(table2, tmp_path):
     config = SolverConfig(seed=Seed(123))
     outputs = []
     for run in range(2):
-        _, boundary = solve_boundary(gbm, plant, config)
-        path = tmp_path / f"run{run}.csv"
-        boundary.to_csv(path)
-        outputs.append(path.read_bytes())
+        data = b""
+        for name, boundary in zip(
+            ("before", "after", "composite"), apply_upgrade(gbm, plant, config)
+        ):
+            path = tmp_path / f"run{run}_{name}.csv"
+            boundary.to_csv(path)
+            data += path.read_bytes()
+        outputs.append(data)
     report(
         "determinism (same seed, same bytes)",
         outputs[0] == outputs[1],

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -148,6 +149,51 @@ def test_solve_config_errors_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("gbm", "y0", math.inf),
+        ("gbm", "mu", math.nan),
+        ("gbm", "sigma", -math.inf),
+        ("plant", "M", math.nan),
+        ("plant", "P", math.inf),
+        ("plant", "T", math.inf),
+        ("solver", "stop_tol_scale", -1e-6),
+        ("solver", "stop_tol_scale", math.nan),
+        ("solver", "samples", math.inf),
+    ],
+)
+def test_solve_non_finite_exits_2(runner, tmp_path, section, key, value):
+    payload = base_config()
+    payload[section][key] = value
+    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, payload)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("key", ["day", "P_new", "M_new"])
+def test_upgrade_non_finite_exits_2(runner, tmp_path, key):
+    payload = base_config()
+    payload["plant"]["upgrade"] = {"day": 10, "P_new": 17.2, "M_new": 0.012}
+    payload["plant"]["upgrade"][key] = math.nan
+    config = write_config(tmp_path, payload)
+    result = runner.invoke(main, ["upgrade", "--config", config])
+    assert result.exit_code == 2, result.output
+    assert "finite" in result.output
+
+
+@pytest.mark.parametrize("command", ["solve", "monitor"])
+def test_upgrade_block_refused_outside_upgrade(runner, tmp_path, command):
+    payload = base_config()
+    payload["plant"]["upgrade"] = {"day": 10, "P_new": 17.2, "M_new": 0.012}
+    payload["monitor"] = {"prices": [1.0, 2.0]}
+    result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
+    assert result.exit_code == 2
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "upgrade" in lines[0]
+
+
 def test_solve_numeric_error_exits_4(runner, tmp_path):
     payload = base_config()
     payload["solver"]["grid_min"] = 50.0
@@ -181,6 +227,16 @@ def test_monitor_command(runner, tmp_path):
     assert report["crossed"] is True
     assert report["crossing_index"] == 2
     assert report["crossing_price"] == 60.0
+
+
+def test_monitor_rejects_bad_prices_exits_3(runner, tmp_path):
+    payload = base_config()
+    payload["monitor"] = {"prices": [math.nan, 1000.0]}
+    result = runner.invoke(
+        main, ["monitor", "--config", write_config(tmp_path, payload)]
+    )
+    assert result.exit_code == 3
+    assert "positive and finite" in result.output
 
 
 def test_monitor_requires_prices(runner, tmp_path):

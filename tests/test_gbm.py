@@ -19,6 +19,9 @@ def test_params_validation():
         GbmParams(0.0, 0.0, 0.1)
     with pytest.raises(ConfigError):
         GbmParams(1.0, 0.0, -0.1)
+    for bad in ((math.inf, 0.0, 0.1), (1.0, math.nan, 0.1), (1.0, 0.0, math.inf)):
+        with pytest.raises(ConfigError, match="finite"):
+            GbmParams(*bad)
     GbmParams(1.0, -0.5, 0.0)  # zero vol is allowed
 
 

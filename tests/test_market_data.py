@@ -99,6 +99,8 @@ def test_series_rejects_non_monotone_dates():
 def test_series_rejects_non_positive_price():
     with pytest.raises(DataError, match="non-positive"):
         PriceSeries((date(2020, 1, 2),), (0.0,), (0.0,))
+    with pytest.raises(DataError, match="non-finite"):
+        PriceSeries((date(2020, 1, 2),), (math.inf,), (0.0,))
 
 
 def test_series_rejects_length_mismatch():

@@ -24,21 +24,12 @@ def test_validation():
         PlantParams(0.014, 14.7, 10, upgrade=Upgrade(11, 15.0, 0.01))
     with pytest.raises(ConfigError):
         Upgrade(5, -1.0, 0.01)
-
-
-def test_effective_params_switch():
-    plant = PlantParams(0.048, 14.5, 49, upgrade=Upgrade(20, 17.2, 0.041))
-    assert plant.effective_params(0) == (0.048, 14.5)
-    assert plant.effective_params(19.9) == (0.048, 14.5)
-    assert plant.effective_params(20) == (0.041, 17.2)  # effective day included
-    assert plant.effective_params(49) == (0.041, 17.2)
-    assert plant.max_unit_profit() == 17.2
-
-
-def test_effective_params_without_upgrade():
-    plant = PlantParams(0.014, 14.7, 246)
-    assert plant.effective_params(100) == (0.014, 14.7)
-    assert plant.max_unit_profit() == 14.7
+    for bad in ((math.nan, 14.7, 246), (0.014, math.inf, 246), (0.014, 14.7, math.inf)):
+        with pytest.raises(ConfigError, match="finite"):
+            PlantParams(*bad)
+    for bad in ((math.nan, 15.0, 0.01), (5, math.inf, 0.01), (5, 15.0, math.nan)):
+        with pytest.raises(ConfigError, match="finite"):
+            Upgrade(*bad)
 
 
 def test_dict_roundtrip():
@@ -72,14 +63,6 @@ def test_immediate_value_closed_form():
     assert immediate_value(plant, gbm, t, y) == pytest.approx(expected)
     # at the horizon the terminal price no longer matters
     assert immediate_value(plant, gbm, 5.0, 123.0) == pytest.approx(2 * 10 * 5)
-
-
-def test_immediate_value_uses_effective_params():
-    plant = PlantParams(2.0, 10.0, 5, upgrade=Upgrade(3, 12.0, 1.0))
-    gbm = GbmParams(8.0, 0.0, 0.1)
-    assert immediate_value(plant, gbm, 4.0, 9.0) == pytest.approx(
-        1 * 12 * 4 + 1 * 9 * 1
-    )
 
 
 def test_lower_bound():

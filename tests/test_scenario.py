@@ -74,6 +74,13 @@ def test_monitor_rejects_too_many_prices():
         monitor(boundary, [1, 2, 3])
 
 
+def test_monitor_rejects_bad_prices():
+    boundary = flat_boundary([30.0] * 3)
+    for bad in ([math.nan, 1000.0], [10.0, math.inf], [10.0, 0.0], [-5.0], ["x"]):
+        with pytest.raises(DataError, match="price"):
+            monitor(boundary, bad)
+
+
 def test_monitor_accepts_shorter_window():
     boundary = flat_boundary([30.0] * 10)
     assert not monitor(boundary, [10, 20]).crossed
@@ -148,6 +155,8 @@ def test_surface_rejects_bad_p_values():
         surface(gbm, 12, [])
     with pytest.raises(ConfigError):
         surface(gbm, 12, [5.0, -1.0])
+    with pytest.raises(ConfigError):
+        surface(gbm, 12, [12, 12, 14])
 
 
 def test_surface_serialization(tmp_path, small_surface):

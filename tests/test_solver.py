@@ -51,6 +51,9 @@ def test_time_grid():
         TimeGrid(horizon=10, delta=0.0)
     with pytest.raises(ConfigError):
         TimeGrid(horizon=0, delta=1.0)
+    for bad in ((math.inf, 1.0), (math.nan, 1.0), (10, math.inf), (10, math.nan)):
+        with pytest.raises(ConfigError, match="finite"):
+            TimeGrid(*bad)
 
 
 def test_price_grid_validation():
@@ -114,6 +117,10 @@ def test_solver_config_validation():
         SolverConfig(samples_per_node=99)
     with pytest.raises(ConfigError):
         SolverConfig(grid_size=1)
+    for scale in (-1e-6, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="stop_tol_scale"):
+            SolverConfig(stop_tol_scale=scale)
+    SolverConfig(stop_tol_scale=0.0)
 
 
 def test_stop_tolerance_scaling():
@@ -126,6 +133,13 @@ def test_horizon_mismatch_rejected():
     gbm, plant, config = small_case()
     with pytest.raises(ConfigError, match="horizon"):
         solve_backward(gbm, plant, TimeGrid(horizon=29), config)
+
+
+def test_upgraded_plant_rejected(table2):
+    # the solver takes constant (M, P); upgrades go through apply_upgrade
+    gbm, plant = table2
+    with pytest.raises(ConfigError, match="upgrade"):
+        solve_boundary(gbm, plant)
 
 
 # --- value lattice invariants -------------------------------------------
@@ -193,18 +207,15 @@ def test_boundary_nondecreasing_in_unit_profit():
 def test_zero_vol_premium_matches_closed_form():
     # with sigma = 0 the recursion telescopes to
     # U(t, y) = max(0, (T - t) * (P - y * exp(mu * (T - t)))).
-    # The few lowest levels are excluded: their one-step images fall below
-    # the grid floor and get edge-clamped, which only matters this close to
-    # the edge.
     gbm = GbmParams(21.43, -0.0020, 0.0)
     plant = PlantParams(0.014, 14.7, 30)
     config = SolverConfig(samples_per_node=200, grid_size=120, seed=Seed(0))
     grid = solve_backward(gbm, plant, None, config)
-    levels = grid.price_grid.levels[10:]
+    levels = grid.price_grid.levels
     for i, t in enumerate(grid.time_grid.times):
         remaining = 30 - t
         exact = np.maximum(0.0, remaining * (14.7 - levels * np.exp(gbm.mu * remaining)))
-        assert np.allclose(grid.U[i, 10:], exact, rtol=1e-6, atol=1e-4)
+        assert np.allclose(grid.U[i], exact, rtol=1e-6, atol=1e-4)
 
 
 def test_zero_vol_boundary_tracks_lower_bound():
