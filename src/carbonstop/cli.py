@@ -21,10 +21,12 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, config_number, finite_number
 from .gbm import GbmParams, Seed
-from .market_data import estimate_gbm, load_price_csv, log_returns, split_at
-from .plant import PlantParams
+from .market_data import (
+    DEFAULT_COLUMNS, estimate_gbm, load_price_csv, log_returns, split_at,
+)
+from .plant import PlantParams, Upgrade
 from .scenario import apply_upgrade, min_survival_p, monitor, surface
 from .solver import (
     SolverConfig,
@@ -58,27 +60,40 @@ def handle_errors(func):
     return wrapper
 
 
-def _atomic_write(path: Path, writer) -> None:
-    """Write via `writer(tmp_path)` and rename into place."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
+def _write_outputs(out_dir: str, writers: dict) -> None:
+    """Write each `name: writer` pair as `writer(tmp_path)`, then rename all.
+
+    Nothing is renamed into place unless every writer succeeded, so an
+    aborted run leaves the directory as it was.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    staged = []
     try:
-        writer(Path(tmp))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for name, writer in writers.items():
+            fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.")
+            os.close(fd)
+            staged.append((tmp, out / name))
+            writer(Path(tmp))
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    click.echo(f"wrote {', '.join(writers)} to {out}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(
-        path,
-        lambda tmp: tmp.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        ),
-    )
+def _json_writer(payload: dict):
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return lambda tmp: tmp.write_text(text, encoding="utf-8")
+
+
+def _timed(compute):
+    """(compute(), seconds it took)."""
+    start = time.perf_counter()
+    result = compute()
+    return result, time.perf_counter() - start
 
 
 def _load_config(path: str) -> dict:
@@ -95,11 +110,31 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _parse_day(text: str, flag: str):
+def _section(config: dict, name: str) -> dict:
+    if name not in config:
+        raise ConfigError(f"config missing '{name}' section")
+    block = config[name]
+    if not isinstance(block, dict):
+        raise ConfigError(f"config '{name}' section must be a JSON object")
+    return block
+
+
+def _parse_day(text, flag: str):
     try:
         return datetime.strptime(text, "%Y-%m-%d").date()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{flag} must be YYYY-MM-DD, got {text!r}") from exc
+
+
+def _estimate(csv_path, columns, start, end, flags: tuple[str, str]):
+    """(series, GBM estimate) of a price CSV cut to [start, end); `flags`
+    name the start and end options in error messages."""
+    series = load_price_csv(csv_path, columns=columns)
+    if start:
+        _, series = split_at(series, _parse_day(start, flags[0]))
+    if end:
+        series, _ = split_at(series, _parse_day(end, flags[1]))
+    return series, estimate_gbm(log_returns(series))
 
 
 def _resolve_gbm(config: dict) -> GbmParams:
@@ -108,23 +143,16 @@ def _resolve_gbm(config: dict) -> GbmParams:
     if has_gbm == has_est:
         raise ConfigError("config needs exactly one of 'gbm' or 'estimate'")
     if has_gbm:
-        block = config["gbm"]
-        for key in ("y0", "mu", "sigma"):
-            if key not in block:
-                raise ConfigError(f"gbm config missing field '{key}'")
-        return GbmParams(
-            y0=float(block["y0"]), mu=float(block["mu"]), sigma=float(block["sigma"])
-        )
-    block = config["estimate"]
+        keys = ("y0", "mu", "sigma")
+        return GbmParams(*(config_number(config["gbm"], key, "gbm") for key in keys))
+    block = _section(config, "estimate")
     if "csv" not in block:
         raise ConfigError("estimate config missing field 'csv'")
-    series = load_price_csv(block["csv"], columns=block.get("columns"))
-    if block.get("start"):
-        _, series = split_at(series, _parse_day(block["start"], "estimate.start"))
-    if block.get("end"):
-        series, _ = split_at(series, _parse_day(block["end"], "estimate.end"))
-    est = estimate_gbm(log_returns(series))
-    y0 = float(block.get("y0", series.prices[-1]))
+    series, est = _estimate(
+        block["csv"], block.get("columns"), block.get("start"), block.get("end"),
+        ("estimate.start", "estimate.end"),
+    )
+    y0 = config_number(block, "y0", "estimate") if "y0" in block else series.prices[-1]
     return GbmParams(y0=y0, mu=est.mu, sigma=est.sigma)
 
 
@@ -154,12 +182,6 @@ def _resolve_solver_config(
     return solver_config
 
 
-def _resolve_plant(config: dict) -> PlantParams:
-    if "plant" not in config:
-        raise ConfigError("config missing 'plant' section")
-    return PlantParams.from_dict(config["plant"])
-
-
 def _resolve_run(
     config_path: str, seed: int | None, samples: int | None, grid: int | None
 ) -> tuple[dict, GbmParams, SolverConfig]:
@@ -170,9 +192,9 @@ def _resolve_run(
     )
 
 
-def _boundary_summary(boundary, solver_config, elapsed) -> dict:
+def _summary_writer(boundary, solver_config, elapsed):
     found = boundary.found_mask()
-    return {
+    return _json_writer({
         "b0": float(boundary.values[0]) if found[0] else None,
         "bT": float(boundary.values[-1]) if found[-1] else None,
         "above_grid_times": int((~found).sum()),
@@ -180,7 +202,7 @@ def _boundary_summary(boundary, solver_config, elapsed) -> dict:
         "seed": solver_config.seed.value,
         "samples_per_node": solver_config.samples_per_node,
         "grid_size": solver_config.grid_size,
-    }
+    })
 
 
 common_options = [
@@ -209,27 +231,16 @@ def main():
 
 @main.command()
 @click.argument("csv_path", type=str)
-@click.option("--date-column", default="date", show_default=True)
-@click.option("--price-column", default="close", show_default=True)
-@click.option("--volume-column", default="volume", show_default=True)
+@click.option("--date-column", default=DEFAULT_COLUMNS["date"], show_default=True)
+@click.option("--price-column", default=DEFAULT_COLUMNS["price"], show_default=True)
+@click.option("--volume-column", default=DEFAULT_COLUMNS["volume"], show_default=True)
 @click.option("--start", default=None, help="Window start (YYYY-MM-DD, inclusive).")
 @click.option("--end", default=None, help="Window end (YYYY-MM-DD, exclusive).")
 @handle_errors
 def estimate(csv_path, date_column, price_column, volume_column, start, end):
     """Estimate daily GBM drift/volatility from a price CSV."""
-    series = load_price_csv(
-        csv_path,
-        columns={
-            "date": date_column,
-            "price": price_column,
-            "volume": volume_column,
-        },
-    )
-    if start:
-        _, series = split_at(series, _parse_day(start, "--start"))
-    if end:
-        series, _ = split_at(series, _parse_day(end, "--end"))
-    est = estimate_gbm(log_returns(series))
+    columns = {"date": date_column, "price": price_column, "volume": volume_column}
+    _, est = _estimate(csv_path, columns, start, end, ("--start", "--end"))
     click.echo(json.dumps(est.to_dict(), indent=2, sort_keys=True))
 
 
@@ -239,20 +250,16 @@ def estimate(csv_path, date_column, price_column, volume_column, start, end):
 def solve(config_path, seed, out_dir, samples, grid):
     """Solve the halt boundary; writes boundary.csv and summary.json."""
     config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
-    plant = _resolve_plant(config)
+    plant = PlantParams.from_dict(_section(config, "plant"))
     smooth = config.get("solver", {}).get("smooth", "none")
 
-    start_time = time.perf_counter()
-    _, boundary = solve_boundary(gbm, plant, solver_config)
-    boundary = smooth_boundary(boundary, method=smooth)
-    elapsed = time.perf_counter() - start_time
-
-    out = Path(out_dir)
-    _atomic_write(out / "boundary.csv", boundary.to_csv)
-    _write_json(
-        out / "summary.json", _boundary_summary(boundary, solver_config, elapsed)
-    )
-    click.echo(f"wrote {out / 'boundary.csv'} and {out / 'summary.json'}")
+    boundary, elapsed = _timed(lambda: smooth_boundary(
+        solve_boundary(gbm, plant, solver_config)[1], method=smooth
+    ))
+    _write_outputs(out_dir, {
+        "boundary.csv": boundary.to_csv,
+        "summary.json": _summary_writer(boundary, solver_config, elapsed),
+    })
 
 
 @main.command("monitor")
@@ -261,10 +268,8 @@ def solve(config_path, seed, out_dir, samples, grid):
 def monitor_cmd(config_path, seed, out_dir, samples, grid):
     """Solve the boundary and test daily prices against it; writes monitor.json."""
     config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
-    plant = _resolve_plant(config)
-    block = config.get("monitor")
-    if not block:
-        raise ConfigError("config missing 'monitor' section")
+    plant = PlantParams.from_dict(_section(config, "plant"))
+    block = _section(config, "monitor")
     if "prices_csv" in block:
         series = load_price_csv(block["prices_csv"], columns=block.get("columns"))
         prices = series.prices
@@ -275,10 +280,7 @@ def monitor_cmd(config_path, seed, out_dir, samples, grid):
 
     _, boundary = solve_boundary(gbm, plant, solver_config)
     report = monitor(boundary, prices)
-
-    out = Path(out_dir)
-    _write_json(out / "monitor.json", report.to_dict())
-    click.echo(f"wrote {out / 'monitor.json'}")
+    _write_outputs(out_dir, {"monitor.json": _json_writer(report.to_dict())})
 
 
 @main.command("upgrade")
@@ -287,22 +289,22 @@ def monitor_cmd(config_path, seed, out_dir, samples, grid):
 def upgrade_cmd(config_path, seed, out_dir, samples, grid):
     """Solve before/after/composite boundaries around a plant upgrade."""
     config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
-    plant = _resolve_plant(config)
-    if plant.upgrade is None:
+    block = dict(_section(config, "plant"))
+    upgrade_block = block.pop("upgrade", None)
+    if upgrade_block is None:
         raise ConfigError("plant config has no 'upgrade' block")
+    plant = PlantParams.from_dict(block)
+    upgrade = Upgrade.from_dict(upgrade_block)
 
-    start_time = time.perf_counter()
-    before, after, composite = apply_upgrade(gbm, plant, solver_config)
-    elapsed = time.perf_counter() - start_time
-
-    out = Path(out_dir)
-    _atomic_write(out / "boundary_before.csv", before.to_csv)
-    _atomic_write(out / "boundary_after.csv", after.to_csv)
-    _atomic_write(out / "boundary_composite.csv", composite.to_csv)
-    _write_json(
-        out / "summary.json", _boundary_summary(composite, solver_config, elapsed)
+    (before, after, composite), elapsed = _timed(
+        lambda: apply_upgrade(gbm, plant, upgrade, solver_config)
     )
-    click.echo(f"wrote 3 boundary CSVs and summary.json to {out}")
+    _write_outputs(out_dir, {
+        "boundary_before.csv": before.to_csv,
+        "boundary_after.csv": after.to_csv,
+        "boundary_composite.csv": composite.to_csv,
+        "summary.json": _summary_writer(composite, solver_config, elapsed),
+    })
 
 
 @main.command("surface")
@@ -311,47 +313,44 @@ def upgrade_cmd(config_path, seed, out_dir, samples, grid):
 def surface_cmd(config_path, seed, out_dir, samples, grid):
     """Sweep unit-profit levels into a stopping surface B(t, p)."""
     config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
-    block = config.get("surface")
-    if not block:
-        raise ConfigError("config missing 'surface' section")
-    if "T" not in block:
-        raise ConfigError("surface config missing field 'T'")
-    horizon = float(block["T"])
+    block = _section(config, "surface")
+    horizon = config_number(block, "T", "surface")
     if "p_values" in block:
-        p_values = [float(p) for p in block["p_values"]]
+        values = block["p_values"]
+        if not isinstance(values, list):
+            raise ConfigError("surface.p_values must be a list of numbers")
+        p_values = [finite_number(p, "surface.p_values") for p in values]
     elif all(k in block for k in ("p_start", "p_stop", "p_step")):
-        p_values = np.arange(
-            float(block["p_start"]),
-            float(block["p_stop"]) + 1e-9,
-            float(block["p_step"]),
-        ).tolist()
+        start, stop, step = (
+            config_number(block, key, "surface")
+            for key in ("p_start", "p_stop", "p_step")
+        )
+        if step <= 0:
+            raise ConfigError(f"surface.p_step must be positive, got {step}")
+        p_values = np.arange(start, stop + 1e-9, step).tolist()
     else:
         raise ConfigError(
             "surface config needs 'p_values' or p_start/p_stop/p_step"
         )
+    query = block.get("survival_query")
+    if query is not None:
+        t, y = (config_number(query, key, "survival_query") for key in ("t", "y"))
 
-    start_time = time.perf_counter()
-    surf = surface(gbm, horizon, p_values, solver_config)
-    elapsed = time.perf_counter() - start_time
-
-    out = Path(out_dir)
-    _atomic_write(out / "surface.csv", surf.to_long_csv)
-    _atomic_write(
-        out / "surface.json",
-        lambda tmp: tmp.write_text(surf.to_json() + "\n", encoding="utf-8"),
-    )
-
-    payload = {
+    surf, elapsed = _timed(lambda: surface(gbm, horizon, p_values, solver_config))
+    summary = {
         "runtime_seconds": elapsed,
         "seed": solver_config.seed.value,
         "p_values": surf.p_values.tolist(),
     }
-    if "survival_query" in block:
-        q = block["survival_query"]
-        p_min = min_survival_p(surf, float(q["t"]), float(q["y"]))
-        payload["min_survival_p"] = p_min
-    _write_json(out / "surface_summary.json", payload)
-    click.echo(f"wrote surface.csv, surface.json, surface_summary.json to {out}")
+    if query is not None:
+        summary["min_survival_p"] = min_survival_p(surf, t, y)
+    _write_outputs(out_dir, {
+        "surface.csv": surf.to_long_csv,
+        "surface.json": lambda tmp: tmp.write_text(
+            surf.to_json() + "\n", encoding="utf-8"
+        ),
+        "surface_summary.json": _json_writer(summary),
+    })
 
 
 if __name__ == "__main__":

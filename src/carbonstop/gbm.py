@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,14 @@ class GbmParams:
             raise ConfigError(f"mu must be finite, got {self.mu}")
         if not (0 <= self.sigma < math.inf):
             raise ConfigError(f"sigma must be nonnegative and finite, got {self.sigma}")
+
+
+def check_drift(params: GbmParams, horizon: float) -> None:
+    """Refuse a drift whose growth e^{|mu| T} over the horizon exceeds half the
+    float exponent range, so that a price times it cannot overflow."""
+    exponent = abs(params.mu) * horizon
+    if exponent > 0.5 * math.log(sys.float_info.max):
+        raise ConfigError(f"|mu|*T = {exponent:.4g} is too large: prices overflow")
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,15 @@ A plant emits M tons of CO2 per trading day and earns P currency units per
 ton emitted.  Halting production at day tau keeps the profit earned so far
 and sells the unused allowance at the horizon price, giving the reward
 M*P*tau + M*Y_T*(T - tau).  (M, P) stay constant over the horizon.  An
-optional upgrade block names new values from a given trading day on; it is
-read only by `scenario.apply_upgrade`, which solves each side separately.
+`Upgrade` is a separate value naming new (M, P) from a given trading day
+on; `scenario.apply_upgrade` solves each side with constant parameters.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, config_number
 from .gbm import GbmParams
 
 
@@ -32,15 +32,19 @@ class Upgrade:
         if not (0 < self.new_emission_rate < math.inf):
             raise ConfigError("upgraded emission rate must be positive and finite")
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "Upgrade":
+        keys = ("day", "P_new", "M_new")
+        return cls(*(config_number(data, key, "upgrade") for key in keys))
+
 
 @dataclass(frozen=True)
 class PlantParams:
-    """Emission rate M, unit-carbon profit P, horizon T, optional upgrade."""
+    """Emission rate M, unit-carbon profit P and horizon T, all constant."""
 
     emission_rate: float  # M, tons CO2 per trading day
     unit_profit: float  # P, currency per ton CO2
     horizon: float  # T, trading days
-    upgrade: Upgrade | None = None
 
     def __post_init__(self):
         if not (0 < self.emission_rate < math.inf):
@@ -49,38 +53,18 @@ class PlantParams:
             raise ConfigError("unit profit P must be positive and finite")
         if not (1 <= self.horizon < math.inf):
             raise ConfigError("horizon T must be finite and >= 1 trading day")
-        if self.upgrade is not None and self.upgrade.effective_day > self.horizon:
-            raise ConfigError("upgrade effective day must lie in [0, T]")
 
     def to_dict(self) -> dict:
-        out = {"M": self.emission_rate, "P": self.unit_profit, "T": self.horizon}
-        if self.upgrade is not None:
-            out["upgrade"] = {
-                "day": self.upgrade.effective_day,
-                "P_new": self.upgrade.new_unit_profit,
-                "M_new": self.upgrade.new_emission_rate,
-            }
-        return out
+        return {"M": self.emission_rate, "P": self.unit_profit, "T": self.horizon}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlantParams":
-        try:
-            upgrade = None
-            if "upgrade" in data and data["upgrade"] is not None:
-                u = data["upgrade"]
-                upgrade = Upgrade(
-                    effective_day=float(u["day"]),
-                    new_unit_profit=float(u["P_new"]),
-                    new_emission_rate=float(u["M_new"]),
-                )
-            return cls(
-                emission_rate=float(data["M"]),
-                unit_profit=float(data["P"]),
-                horizon=float(data["T"]),
-                upgrade=upgrade,
+        if isinstance(data, dict) and data.get("upgrade") is not None:
+            raise ConfigError(
+                "plant has an 'upgrade' block, which only the upgrade command "
+                "reads (apply_upgrade); the solver takes constant (M, P)"
             )
-        except KeyError as exc:
-            raise ConfigError(f"plant config missing field {exc}") from exc
+        return cls(*(config_number(data, key, "plant") for key in ("M", "P", "T")))
 
 
 def reward(plant: PlantParams, tau: float, y_terminal: float) -> float:

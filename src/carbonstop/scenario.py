@@ -16,12 +16,11 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .gbm import GbmParams
 from .market_data import PriceSeries
-from .plant import PlantParams
+from .plant import PlantParams, Upgrade
 from .solver import (
     Boundary,
     PriceGrid,
     SolverConfig,
-    TimeGrid,
     default_price_grid,
     solve_boundary,
 )
@@ -83,20 +82,26 @@ def monitor(boundary: Boundary, prices) -> MonitorReport:
     )
 
 
-def _shared_grid(
-    gbm: GbmParams, plants: list[PlantParams], config: SolverConfig
-) -> PriceGrid:
-    """One grid wide enough for every parameter set in a comparison."""
-    if config.price_grid is not None:
-        return config.price_grid
-    spans = [default_price_grid(gbm, pl, config.grid_size).levels for pl in plants]
-    lo = min(s[0] for s in spans)
-    hi = max(s[-1] for s in spans)
-    return PriceGrid(np.geomspace(lo, hi, config.grid_size + 1))
+def _solve_shared(
+    gbm: GbmParams, plants: list[PlantParams], config: SolverConfig | None
+) -> list[Boundary]:
+    """Boundaries of plants with one horizon, solved with one seed on one
+    price grid wide enough for all of them (common random numbers)."""
+    config = config or SolverConfig()
+    if config.price_grid is None:
+        spans = [default_price_grid(gbm, pl, config.grid_size).levels for pl in plants]
+        lo = min(s[0] for s in spans)
+        hi = max(s[-1] for s in spans)
+        grid = PriceGrid(np.geomspace(lo, hi, config.grid_size + 1))
+        config = replace(config, price_grid=grid)
+    return [solve_boundary(gbm, pl, config)[1] for pl in plants]
 
 
 def apply_upgrade(
-    gbm: GbmParams, plant: PlantParams, config: SolverConfig | None = None
+    gbm: GbmParams,
+    plant: PlantParams,
+    upgrade: Upgrade,
+    config: SolverConfig | None = None,
 ) -> tuple[Boundary, Boundary, Boundary]:
     """(before, after, composite) boundaries around a technical upgrade.
 
@@ -104,37 +109,22 @@ def apply_upgrade(
     composite stitches them at the effective day, matching the half-solid /
     half-dash presentation of an upgrade event.
     """
-    if plant.upgrade is None:
-        raise ConfigError("plant has no upgrade event")
-    config = config or SolverConfig()
-    before_plant = PlantParams(
-        emission_rate=plant.emission_rate,
-        unit_profit=plant.unit_profit,
-        horizon=plant.horizon,
-    )
+    switch = upgrade.effective_day
+    if switch > plant.horizon:
+        raise ConfigError(
+            f"upgrade effective day {switch} must lie in [0, T={plant.horizon}]"
+        )
     after_plant = PlantParams(
-        emission_rate=plant.upgrade.new_emission_rate,
-        unit_profit=plant.upgrade.new_unit_profit,
-        horizon=plant.horizon,
+        upgrade.new_emission_rate, upgrade.new_unit_profit, plant.horizon
     )
-    shared = replace(config, price_grid=_shared_grid(gbm, [before_plant, after_plant], config))
+    before, after = _solve_shared(gbm, [plant, after_plant], config)
 
-    _, before = solve_boundary(gbm, before_plant, shared)
-    _, after = solve_boundary(gbm, after_plant, shared)
-
-    switch = plant.upgrade.effective_day
-    take_after = before.times >= switch
-    composite_values = np.where(take_after, after.values, before.values)
-    composite_status = tuple(
-        a if flag else b
-        for flag, a, b in zip(take_after, after.status, before.status)
-    )
-    composite_lbs = np.where(take_after, after.lower_bounds, before.lower_bounds)
+    take = before.times >= switch
     composite = Boundary(
         times=before.times,
-        values=composite_values,
-        status=composite_status,
-        lower_bounds=composite_lbs,
+        values=np.where(take, after.values, before.values),
+        status=tuple(np.where(take, after.status, before.status).tolist()),
+        lower_bounds=np.where(take, after.lower_bounds, before.lower_bounds),
     )
     return before, after, composite
 
@@ -184,31 +174,24 @@ def surface(
     horizon: float,
     p_values,
     config: SolverConfig | None = None,
-    emission_rate: float = 1.0,
 ) -> SurfaceGrid:
     """One boundary per P level, solved with a shared seed and price grid.
 
-    The boundary does not depend on the emission rate, so `emission_rate`
-    is only a placeholder for the plant parameter object.
+    The boundary does not depend on the emission rate, so every level is
+    solved with M = 1.
     """
     p_values = np.asarray(sorted(p_values), dtype=float)
     if not len(p_values) or not np.all(p_values > 0) or np.any(np.diff(p_values) == 0):
         raise ConfigError("p_values must be nonempty, positive and distinct")
-    config = config or SolverConfig()
-
     plants = [
-        PlantParams(emission_rate=emission_rate, unit_profit=float(p), horizon=horizon)
+        PlantParams(emission_rate=1.0, unit_profit=float(p), horizon=horizon)
         for p in p_values
     ]
-    shared = replace(config, price_grid=_shared_grid(gbm, plants, config))
-
-    time_grid = TimeGrid(horizon=horizon)
-    columns = []
-    for pl in plants:
-        _, boundary = solve_boundary(gbm, pl, shared, time_grid)
-        columns.append(boundary.values_or_inf())
+    boundaries = _solve_shared(gbm, plants, config)
     return SurfaceGrid(
-        p_values=p_values, times=time_grid.times, B=np.column_stack(columns)
+        p_values=p_values,
+        times=boundaries[0].times,
+        B=np.column_stack([b.values_or_inf() for b in boundaries]),
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .gbm import GbmParams, Seed
+from .gbm import GbmParams, Seed, check_drift
 from .plant import PlantParams, immediate_value, lower_bound
 
 FOUND = "FOUND"
@@ -94,6 +94,7 @@ def default_price_grid(
     continuation value clamped to the edge, which biases the whole lattice
     low if the grid floor is reachable with non-negligible probability.
     """
+    check_drift(gbm, plant.horizon)
     p = plant.unit_profit
     l0 = p * math.exp(-gbm.mu * plant.horizon)
     log_drift = (gbm.mu - 0.5 * gbm.sigma**2) * plant.horizon
@@ -201,14 +202,8 @@ def solve_backward(
 
     Off-grid continuation values are interpolated linearly in y and clamped
     to the edge values outside the grid.  Deterministic for a fixed seed.
-    A plant with an upgrade block is refused: `scenario.apply_upgrade`
-    compares its two sides as separate constant solves.
     """
-    if plant.upgrade is not None:
-        raise ConfigError(
-            "the solver takes constant (M, P); solve a plant with an 'upgrade' "
-            "block through apply_upgrade (CLI: carbonstop upgrade)"
-        )
+    check_drift(gbm, plant.horizon)
     config = config or SolverConfig()
     time_grid = time_grid or TimeGrid(horizon=plant.horizon)
     if abs(time_grid.horizon - plant.horizon) > 1e-9:

@@ -11,13 +11,13 @@ def table1():
 
 @pytest.fixture
 def table2():
+    """Mid-horizon upgrade case: (gbm, plant, upgrade)."""
     gbm = GbmParams(36.50, -0.0019, 0.0238)
-    plant = PlantParams(0.048, 14.5, 49, upgrade=Upgrade(20, 17.2, 0.041))
-    return gbm, plant
+    return gbm, PlantParams(0.048, 14.5, 49), Upgrade(20, 17.2, 0.041)
 
 
 @pytest.fixture
 def table3():
+    """Short-horizon upgrade case: (gbm, plant, upgrade)."""
     gbm = GbmParams(40.25, 0.0007, 0.0600)
-    plant = PlantParams(0.040, 16.8, 60, upgrade=Upgrade(30, 17.1, 0.038))
-    return gbm, plant
+    return gbm, PlantParams(0.040, 16.8, 60), Upgrade(30, 17.1, 0.038)

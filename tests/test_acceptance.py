@@ -132,7 +132,7 @@ def test_criterion_2_boundary_lower_bound(table1, table2, table3):
 
 
 def test_criterion_3_oracle_equivalence(table2):
-    gbm, _ = table2
+    gbm = table2[0]
     plant = PlantParams(0.048, 14.5, 49)
 
     # exhaustive-policy check on small recombining trees
@@ -267,8 +267,9 @@ def test_criterion_5_structural_invariants():
 def test_criterion_6_upgrade_lifts_boundary(table2, table3):
     details = []
     ok = True
-    for name, (gbm, plant) in (("mid-horizon", table2), ("short-horizon", table3)):
-        before, after, _ = apply_upgrade(gbm, plant, SolverConfig(seed=Seed(42)))
+    config = SolverConfig(seed=Seed(42))
+    for name, case in (("mid-horizon", table2), ("short-horizon", table3)):
+        before, after, _ = apply_upgrade(*case, config)
         gap = after.values_or_inf() - before.values_or_inf()
         pointwise = bool((gap >= -1e-12).all())
         strict = bool((gap > 1e-12).any())
@@ -324,13 +325,13 @@ def test_criterion_8_estimator_recovery():
 
 
 def test_determinism_byte_identical(table2, tmp_path):
-    gbm, plant = table2
+    gbm, plant, upgrade = table2
     config = SolverConfig(seed=Seed(123))
     outputs = []
     for run in range(2):
         data = b""
         for name, boundary in zip(
-            ("before", "after", "composite"), apply_upgrade(gbm, plant, config)
+            ("before", "after", "composite"), apply_upgrade(gbm, plant, upgrade, config)
         ):
             path = tmp_path / f"run{run}_{name}.csv"
             boundary.to_csv(path)

@@ -3,6 +3,8 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from carbonstop.cli import main
 
@@ -24,6 +26,36 @@ def base_config():
         "plant": {"M": 0.014, "P": 14.7, "T": 20},
         "solver": {"samples": 300, "grid": 60, "seed": 1},
     }
+
+
+def upgrade_config():
+    payload = base_config()
+    payload["plant"]["upgrade"] = {"day": 10, "P_new": 17.2, "M_new": 0.012}
+    return payload
+
+
+def surface_config():
+    return {
+        "gbm": {"y0": 20.0, "mu": -0.003, "sigma": 0.08},
+        "solver": {"samples": 300, "grid": 60, "seed": 2},
+        "surface": {
+            "T": 10,
+            "p_start": 5,
+            "p_stop": 15,
+            "p_step": 5,
+            "survival_query": {"t": 0, "y": 1e-6},
+        },
+    }
+
+
+CONFIGS = {"solve": base_config, "upgrade": upgrade_config, "surface": surface_config}
+
+
+def assert_config_error(result):
+    """Exit 2 with exactly one `error:` line and no traceback."""
+    assert result.exit_code == 2, (result.output, result.exception)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.output
 
 
 PRICE_CSV = """date,close,volume
@@ -173,8 +205,7 @@ def test_solve_non_finite_exits_2(runner, tmp_path, section, key, value):
 
 @pytest.mark.parametrize("key", ["day", "P_new", "M_new"])
 def test_upgrade_non_finite_exits_2(runner, tmp_path, key):
-    payload = base_config()
-    payload["plant"]["upgrade"] = {"day": 10, "P_new": 17.2, "M_new": 0.012}
+    payload = upgrade_config()
     payload["plant"]["upgrade"][key] = math.nan
     config = write_config(tmp_path, payload)
     result = runner.invoke(main, ["upgrade", "--config", config])
@@ -184,8 +215,7 @@ def test_upgrade_non_finite_exits_2(runner, tmp_path, key):
 
 @pytest.mark.parametrize("command", ["solve", "monitor"])
 def test_upgrade_block_refused_outside_upgrade(runner, tmp_path, command):
-    payload = base_config()
-    payload["plant"]["upgrade"] = {"day": 10, "P_new": 17.2, "M_new": 0.012}
+    payload = upgrade_config()
     payload["monitor"] = {"prices": [1.0, 2.0]}
     result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
     assert result.exit_code == 2
@@ -250,9 +280,7 @@ def test_monitor_requires_prices(runner, tmp_path):
 
 
 def test_upgrade_command(runner, tmp_path):
-    payload = base_config()
-    payload["plant"]["upgrade"] = {"day": 10, "P_new": 17.2, "M_new": 0.012}
-    config = write_config(tmp_path, payload)
+    config = write_config(tmp_path, upgrade_config())
     out = tmp_path / "up"
     result = runner.invoke(main, ["upgrade", "--config", config, "--out", str(out)])
     assert result.exit_code == 0, result.output
@@ -270,18 +298,7 @@ def test_upgrade_without_block_exits_2(runner, tmp_path):
 
 
 def test_surface_command(runner, tmp_path):
-    payload = {
-        "gbm": {"y0": 20.0, "mu": -0.003, "sigma": 0.08},
-        "solver": {"samples": 300, "grid": 60, "seed": 2},
-        "surface": {
-            "T": 10,
-            "p_start": 5,
-            "p_stop": 15,
-            "p_step": 5,
-            "survival_query": {"t": 0, "y": 1e-6},
-        },
-    }
-    config = write_config(tmp_path, payload)
+    config = write_config(tmp_path, surface_config())
     out = tmp_path / "surf"
     result = runner.invoke(main, ["surface", "--config", config, "--out", str(out)])
     assert result.exit_code == 0, result.output
@@ -305,3 +322,105 @@ def test_surface_requires_p_levels(runner, tmp_path):
     }
     config = write_config(tmp_path, payload)
     assert runner.invoke(main, ["surface", "--config", config]).exit_code == 2
+
+
+# --- bad config values ------------------------------------------------------------
+
+
+# (command, path to the block, key) of every numeric config field
+NUMERIC_FIELDS = (
+    [("solve", ("gbm",), key) for key in ("y0", "mu", "sigma")]
+    + [("solve", ("plant",), key) for key in ("M", "P", "T")]
+    + [("upgrade", ("plant", "upgrade"), key) for key in ("day", "P_new", "M_new")]
+    + [("surface", ("surface",), key) for key in ("T", "p_start", "p_stop", "p_step")]
+    + [("surface", ("surface", "survival_query"), key) for key in ("t", "y")]
+)
+
+
+def set_field(command, path, key, value):
+    payload = CONFIGS[command]()
+    block = payload
+    for name in path:
+        block = block[name]
+    block[key] = value
+    return payload
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    field=st.sampled_from(NUMERIC_FIELDS),
+    value=st.one_of(
+        st.text(),
+        st.none(),
+        st.lists(st.one_of(st.integers(), st.floats(), st.text()), max_size=3),
+    ),
+)
+def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
+    command, path, key = field
+    config = write_config(tmp_path, set_field(command, path, key, value))
+    result = runner.invoke(main, [command, "--config", config, "--out", str(tmp_path)])
+    assert_config_error(result)
+    assert f"{path[-1]}.{key}" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, path, key, value",
+    [
+        ("solve", ("gbm",), "y0", "abc"),
+        ("solve", ("plant",), "M", "x"),
+        ("solve", ("plant",), "M", None),
+        ("upgrade", ("plant", "upgrade"), "day", "x"),
+        ("surface", ("surface",), "T", "x"),
+    ],
+    ids=["gbm.y0-text", "plant.M-text", "plant.M-null", "upgrade.day-text",
+         "surface.T-text"],
+)
+def test_bad_config_value_exits_2(runner, tmp_path, command, path, key, value):
+    config = write_config(tmp_path, set_field(command, path, key, value))
+    assert_config_error(runner.invoke(main, [command, "--config", config]))
+
+
+def test_survival_query_needs_y(runner, tmp_path):
+    payload = surface_config()
+    payload["surface"]["survival_query"] = {"t": 0}
+    config = write_config(tmp_path, payload)
+    result = runner.invoke(main, ["surface", "--config", config])
+    assert_config_error(result)
+    assert "'y'" in result.output
+
+
+@pytest.mark.parametrize("step", [0, -5, math.inf, math.nan])
+def test_surface_bad_p_step_exits_2(runner, tmp_path, step):
+    payload = surface_config()
+    payload["surface"]["p_step"] = step
+    config = write_config(tmp_path, payload)
+    result = runner.invoke(main, ["surface", "--config", config])
+    assert_config_error(result)
+    assert "p_step" in result.output
+
+
+@pytest.mark.parametrize("command", ["solve", "upgrade", "surface"])
+@pytest.mark.parametrize("mu", [-5.0, 5.0])
+def test_overflowing_drift_exits_2(runner, tmp_path, command, mu):
+    # |mu|*T = 1230: e^{|mu| T} overflows a float
+    payload = CONFIGS[command]()
+    payload["gbm"]["mu"] = mu
+    block = payload["surface"] if command == "surface" else payload["plant"]
+    block["T"] = 246
+    result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert "mu" in result.output
+
+
+def test_overflowing_drift_on_user_grid_exits_2(runner, tmp_path):
+    payload = base_config()
+    payload["gbm"]["mu"] = -5.0
+    payload["plant"]["T"] = 246
+    payload["solver"].update(grid_min=1.0, grid_max=100.0)
+    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert "mu" in result.output

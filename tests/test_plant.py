@@ -21,8 +21,6 @@ def test_validation():
     with pytest.raises(ConfigError):
         PlantParams(0.014, 14.7, 0.5)
     with pytest.raises(ConfigError):
-        PlantParams(0.014, 14.7, 10, upgrade=Upgrade(11, 15.0, 0.01))
-    with pytest.raises(ConfigError):
         Upgrade(5, -1.0, 0.01)
     for bad in ((math.nan, 14.7, 246), (0.014, math.inf, 246), (0.014, 14.7, math.inf)):
         with pytest.raises(ConfigError, match="finite"):
@@ -33,16 +31,38 @@ def test_validation():
 
 
 def test_dict_roundtrip():
-    plant = PlantParams(0.048, 14.5, 49, upgrade=Upgrade(20, 17.2, 0.041))
-    again = PlantParams.from_dict(plant.to_dict())
-    assert again == plant
-    bare = PlantParams(0.014, 14.7, 246)
-    assert PlantParams.from_dict(bare.to_dict()) == bare
+    plant = PlantParams(0.014, 14.7, 246)
+    assert PlantParams.from_dict(plant.to_dict()) == plant
+    upgrade = Upgrade.from_dict({"day": 20, "P_new": 17.2, "M_new": 0.041})
+    assert upgrade == Upgrade(20, 17.2, 0.041)
 
 
 def test_from_dict_missing_key():
     with pytest.raises(ConfigError, match="missing field"):
         PlantParams.from_dict({"M": 0.014, "T": 246})
+    with pytest.raises(ConfigError, match="missing field 'M_new'"):
+        Upgrade.from_dict({"day": 20, "P_new": 17.2})
+
+
+def test_from_dict_refuses_upgrade_block():
+    # (M, P) are constant by type; an upgrade is a separate value
+    data = {"M": 0.048, "P": 14.5, "T": 49, "upgrade": {"day": 20, "P_new": 17.2}}
+    with pytest.raises(ConfigError, match="upgrade"):
+        PlantParams.from_dict(data)
+    bare = PlantParams.from_dict(dict(data, upgrade=None))
+    assert bare == PlantParams(0.048, 14.5, 49)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["x", "0.014", None, [0.014], True, 10**400],
+    ids=["text", "numeric-text", "null", "list", "bool", "huge-int"],
+)
+def test_from_dict_rejects_non_numbers(bad):
+    with pytest.raises(ConfigError, match="plant.M must be a finite number"):
+        PlantParams.from_dict({"M": bad, "P": 14.7, "T": 246})
+    with pytest.raises(ConfigError, match="upgrade.day must be a finite number"):
+        Upgrade.from_dict({"day": bad, "P_new": 17.2, "M_new": 0.041})
 
 
 def test_reward_hand_values():

@@ -89,17 +89,23 @@ def test_monitor_accepts_shorter_window():
 # --- upgrades ----------------------------------------------------------------
 
 
-def test_apply_upgrade_requires_upgrade():
+def test_apply_upgrade_rejects_day_after_horizon():
     gbm = GbmParams(10.0, 0.0, 0.1)
-    with pytest.raises(ConfigError):
-        apply_upgrade(gbm, PlantParams(1.0, 10.0, 10))
+    plant = PlantParams(1.0, 10.0, 10)
+    with pytest.raises(ConfigError, match=r"\[0, T=10"):
+        apply_upgrade(gbm, plant, Upgrade(11, 15.0, 0.5))
+    # an upgrade on the last day switches only the terminal entry
+    config = SolverConfig(samples_per_node=100, grid_size=20)
+    before, after, composite = apply_upgrade(gbm, plant, Upgrade(10, 15.0, 0.5), config)
+    assert composite.values[-1] == after.values[-1]
+    assert np.array_equal(composite.values[:-1], before.values[:-1], equal_nan=True)
 
 
 def test_apply_upgrade_lifts_boundary():
     gbm = GbmParams(20.0, -0.002, 0.05)
-    plant = PlantParams(0.5, 12.0, 20, upgrade=Upgrade(8, 16.0, 0.4))
+    plant, upgrade = PlantParams(0.5, 12.0, 20), Upgrade(8, 16.0, 0.4)
     config = SolverConfig(samples_per_node=500, grid_size=80, seed=Seed(3))
-    before, after, composite = apply_upgrade(gbm, plant, config)
+    before, after, composite = apply_upgrade(gbm, plant, upgrade, config)
 
     gap = after.values_or_inf() - before.values_or_inf()
     assert (gap >= -1e-12).all()
@@ -114,15 +120,25 @@ def test_apply_upgrade_lifts_boundary():
     assert np.array_equal(
         composite.values[~switch], before.values[~switch], equal_nan=True
     )
+    assert composite.status == before.status[:8] + after.status[8:]
 
 
 def test_apply_upgrade_shares_price_grid():
     gbm = GbmParams(20.0, -0.002, 0.05)
-    plant = PlantParams(0.5, 12.0, 20, upgrade=Upgrade(8, 16.0, 0.4))
+    plant, upgrade = PlantParams(0.5, 12.0, 20), Upgrade(8, 16.0, 0.4)
     config = SolverConfig(samples_per_node=500, grid_size=80, seed=Seed(3))
-    before, after, _ = apply_upgrade(gbm, plant, config)
+    before, after, _ = apply_upgrade(gbm, plant, upgrade, config)
     # same grid means terminal levels are two exact grid points
     assert before.values[-1] < after.values[-1]
+
+
+def test_comparisons_reject_overflowing_drift():
+    # |mu|*T = 1230: e^{|mu| T} overflows a float
+    gbm = GbmParams(21.43, -5.0, 0.06)
+    with pytest.raises(ConfigError, match="mu"):
+        apply_upgrade(gbm, PlantParams(0.014, 14.7, 246), Upgrade(20, 17.2, 0.01))
+    with pytest.raises(ConfigError, match="mu"):
+        surface(gbm, 246, [10.0, 12.0])
 
 
 # --- surface -----------------------------------------------------------------

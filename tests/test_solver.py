@@ -129,17 +129,22 @@ def test_stop_tolerance_scaling():
     assert stop_tolerance(plant, config) == pytest.approx(1e-6 * 14.7 * 246)
 
 
+@pytest.mark.parametrize("mu", [-5.0, 5.0])
+def test_overflowing_drift_rejected(mu):
+    # |mu|*T = 1230: e^{|mu| T} overflows a float, on a user grid as well
+    gbm, plant = GbmParams(21.43, mu, 0.06), PlantParams(0.014, 14.7, 246)
+    with pytest.raises(ConfigError, match="mu"):
+        default_price_grid(gbm, plant)
+    user_grid = geometric_price_grid(1.0, 100.0, 20)
+    config = SolverConfig(samples_per_node=100, price_grid=user_grid)
+    with pytest.raises(ConfigError, match="mu"):
+        solve_boundary(gbm, plant, config)
+
+
 def test_horizon_mismatch_rejected():
     gbm, plant, config = small_case()
     with pytest.raises(ConfigError, match="horizon"):
         solve_backward(gbm, plant, TimeGrid(horizon=29), config)
-
-
-def test_upgraded_plant_rejected(table2):
-    # the solver takes constant (M, P); upgrades go through apply_upgrade
-    gbm, plant = table2
-    with pytest.raises(ConfigError, match="upgrade"):
-        solve_boundary(gbm, plant)
 
 
 # --- value lattice invariants -------------------------------------------
