@@ -29,10 +29,13 @@ from .market_data import (
 from .plant import PlantParams, Upgrade
 from .scenario import apply_upgrade, min_survival_p, monitor, surface
 from .solver import (
+    SMOOTH_METHODS,
     SolverConfig,
+    TimeGrid,
     geometric_price_grid,
     smooth_boundary,
     solve_boundary,
+    time_index,
 )
 
 EXIT_CONFIG = 2
@@ -110,10 +113,11 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _section(config: dict, name: str) -> dict:
-    if name not in config:
+def _section(config: dict, name: str, optional: bool = False) -> dict:
+    """Section `name`, checked to be an object; an absent optional one is {}."""
+    if name not in config and not optional:
         raise ConfigError(f"config missing '{name}' section")
-    block = config[name]
+    block = config.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"config '{name}' section must be a JSON object")
     return block
@@ -158,36 +162,46 @@ def _resolve_gbm(config: dict) -> GbmParams:
 
 def _resolve_solver_config(
     config: dict, seed: int | None, samples: int | None, grid: int | None
-) -> SolverConfig:
-    block = dict(config.get("solver", {}))
+) -> tuple[SolverConfig, str]:
+    block = dict(_section(config, "solver", optional=True))
     for key, flag in (("seed", seed), ("samples", samples), ("grid", grid)):
         if flag is not None:
             block[key] = flag
     if ("grid_min" in block) != ("grid_max" in block):
         raise ConfigError("grid_min and grid_max must be given together")
+
+    def read(key, fallback, integer=False):
+        value = block.get(key, fallback)
+        if integer and type(value) is int:  # exact past 2**53; a bool is no int
+            return value
+        value = config_number(block, key, "solver") if key in block else fallback
+        if integer and not value.is_integer():
+            raise ConfigError(f"solver.{key} must be an integer, got {value!r}")
+        return int(value) if integer else value
+
     default = SolverConfig()
-    try:
-        solver_config = SolverConfig(
-            samples_per_node=int(block.get("samples", default.samples_per_node)),
-            grid_size=int(block.get("grid", default.grid_size)),
-            seed=Seed(int(block.get("seed", default.seed.value))),
-            stop_tol_scale=float(block.get("stop_tol_scale", default.stop_tol_scale)),
-        )
-        if "grid_min" in block:
-            lo, hi = float(block["grid_min"]), float(block["grid_max"])
-            price_grid = geometric_price_grid(lo, hi, solver_config.grid_size)
-            solver_config = replace(solver_config, price_grid=price_grid)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid solver config: {exc}") from exc
-    return solver_config
+    solver_config = SolverConfig(
+        samples_per_node=read("samples", default.samples_per_node, integer=True),
+        grid_size=read("grid", default.grid_size, integer=True),
+        seed=Seed(read("seed", default.seed.value, integer=True)),
+        stop_tol_scale=read("stop_tol_scale", default.stop_tol_scale),
+    )
+    if "grid_min" in block:
+        lo, hi = read("grid_min", None), read("grid_max", None)
+        price_grid = geometric_price_grid(lo, hi, solver_config.grid_size)
+        solver_config = replace(solver_config, price_grid=price_grid)
+    smooth = block.get("smooth", "none")
+    if smooth not in SMOOTH_METHODS:
+        raise ConfigError(f"unknown solver.smooth method {smooth!r}")
+    return solver_config, smooth
 
 
 def _resolve_run(
     config_path: str, seed: int | None, samples: int | None, grid: int | None
-) -> tuple[dict, GbmParams, SolverConfig]:
-    """The prologue every config-driven command shares."""
+) -> tuple[dict, GbmParams, SolverConfig, str]:
+    """The prologue every config-driven command shares (last: solver.smooth)."""
     config = _load_config(config_path)
-    return config, _resolve_gbm(config), _resolve_solver_config(
+    return config, _resolve_gbm(config), *_resolve_solver_config(
         config, seed, samples, grid
     )
 
@@ -249,9 +263,8 @@ def estimate(csv_path, date_column, price_column, volume_column, start, end):
 @handle_errors
 def solve(config_path, seed, out_dir, samples, grid):
     """Solve the halt boundary; writes boundary.csv and summary.json."""
-    config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
+    config, gbm, solver_config, smooth = _resolve_run(config_path, seed, samples, grid)
     plant = PlantParams.from_dict(_section(config, "plant"))
-    smooth = config.get("solver", {}).get("smooth", "none")
 
     boundary, elapsed = _timed(lambda: smooth_boundary(
         solve_boundary(gbm, plant, solver_config)[1], method=smooth
@@ -267,7 +280,7 @@ def solve(config_path, seed, out_dir, samples, grid):
 @handle_errors
 def monitor_cmd(config_path, seed, out_dir, samples, grid):
     """Solve the boundary and test daily prices against it; writes monitor.json."""
-    config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
+    config, gbm, solver_config, _ = _resolve_run(config_path, seed, samples, grid)
     plant = PlantParams.from_dict(_section(config, "plant"))
     block = _section(config, "monitor")
     if "prices_csv" in block:
@@ -288,7 +301,7 @@ def monitor_cmd(config_path, seed, out_dir, samples, grid):
 @handle_errors
 def upgrade_cmd(config_path, seed, out_dir, samples, grid):
     """Solve before/after/composite boundaries around a plant upgrade."""
-    config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
+    config, gbm, solver_config, _ = _resolve_run(config_path, seed, samples, grid)
     block = dict(_section(config, "plant"))
     upgrade_block = block.pop("upgrade", None)
     if upgrade_block is None:
@@ -312,7 +325,7 @@ def upgrade_cmd(config_path, seed, out_dir, samples, grid):
 @handle_errors
 def surface_cmd(config_path, seed, out_dir, samples, grid):
     """Sweep unit-profit levels into a stopping surface B(t, p)."""
-    config, gbm, solver_config = _resolve_run(config_path, seed, samples, grid)
+    config, gbm, solver_config, _ = _resolve_run(config_path, seed, samples, grid)
     block = _section(config, "surface")
     horizon = config_number(block, "T", "surface")
     if "p_values" in block:
@@ -335,6 +348,7 @@ def surface_cmd(config_path, seed, out_dir, samples, grid):
     query = block.get("survival_query")
     if query is not None:
         t, y = (config_number(query, key, "survival_query") for key in ("t", "y"))
+        time_index(TimeGrid(horizon).times, t)
 
     surf, elapsed = _timed(lambda: surface(gbm, horizon, p_values, solver_config))
     summary = {

@@ -19,10 +19,11 @@ from .market_data import PriceSeries
 from .plant import PlantParams, Upgrade
 from .solver import (
     Boundary,
-    PriceGrid,
     SolverConfig,
     default_price_grid,
+    geometric_price_grid,
     solve_boundary,
+    time_index,
 )
 
 
@@ -69,7 +70,7 @@ def monitor(boundary: Boundary, prices) -> MonitorReport:
             f"{len(values)} prices exceed the boundary grid of "
             f"{len(boundary.times)} times"
         )
-    levels = boundary.values_or_inf()[: len(values)]
+    levels = boundary.values[: len(values)]
     hits = np.nonzero(values >= levels)[0]
     if not len(hits):
         return MonitorReport(crossed=False)
@@ -92,7 +93,7 @@ def _solve_shared(
         spans = [default_price_grid(gbm, pl, config.grid_size).levels for pl in plants]
         lo = min(s[0] for s in spans)
         hi = max(s[-1] for s in spans)
-        grid = PriceGrid(np.geomspace(lo, hi, config.grid_size + 1))
+        grid = geometric_price_grid(lo, hi, config.grid_size)
         config = replace(config, price_grid=grid)
     return [solve_boundary(gbm, pl, config)[1] for pl in plants]
 
@@ -123,7 +124,6 @@ def apply_upgrade(
     composite = Boundary(
         times=before.times,
         values=np.where(take, after.values, before.values),
-        status=tuple(np.where(take, after.status, before.status).tolist()),
         lower_bounds=np.where(take, after.lower_bounds, before.lower_bounds),
     )
     return before, after, composite
@@ -133,8 +133,7 @@ def apply_upgrade(
 class SurfaceGrid:
     """Boundary levels B(t, p) for a sweep of unit-profit values.
 
-    ABOVE_GRID entries are stored as +inf (boundary above every grid price,
-    i.e. continuation regardless of the observed price).
+    ABOVE_GRID entries are +inf, as in `Boundary.values`.
     """
 
     p_values: np.ndarray
@@ -191,16 +190,13 @@ def surface(
     return SurfaceGrid(
         p_values=p_values,
         times=boundaries[0].times,
-        B=np.column_stack([b.values_or_inf() for b in boundaries]),
+        B=np.column_stack([b.values for b in boundaries]),
     )
 
 
 def min_survival_p(surf: SurfaceGrid, t: float, y: float) -> float | None:
     """Smallest swept P whose boundary at time t sits strictly above y."""
-    idx = np.nonzero(np.isclose(surf.times, t, rtol=0, atol=1e-9))[0]
-    if not len(idx):
-        raise ConfigError(f"t={t} is not on the surface time grid")
-    row = surf.B[idx[0]]
+    row = surf.B[time_index(surf.times, t)]
     qualifying = np.nonzero(row > y)[0]
     if not len(qualifying):
         return None

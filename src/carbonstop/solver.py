@@ -25,6 +25,7 @@ from .plant import PlantParams, immediate_value, lower_bound
 
 FOUND = "FOUND"
 ABOVE_GRID = "ABOVE_GRID"
+SMOOTH_METHODS = ("none", "isotonic", "moving-average")
 
 DEFAULT_SAMPLES = 2000
 DEFAULT_GRID_SIZE = 200
@@ -158,24 +159,21 @@ class ValueGrid:
 class Boundary:
     """Free boundary b(t) extracted per grid time.
 
-    `values` holds NaN where no stopping level exists inside the price grid
-    (status ABOVE_GRID).  `lower_bounds` carries the continuation-guarantee
-    level so the boundary can be floored without re-deriving parameters.
+    `values` is +inf where no grid level stops (status ABOVE_GRID).
+    `lower_bounds` carries the continuation-guarantee level so the boundary
+    can be floored without re-deriving parameters.
     """
 
     times: np.ndarray
     values: np.ndarray
-    status: tuple[str, ...]
     lower_bounds: np.ndarray
 
     def found_mask(self) -> np.ndarray:
-        return np.array([s == FOUND for s in self.status])
+        return np.isfinite(self.values)
 
-    def values_or_inf(self) -> np.ndarray:
-        """Boundary with ABOVE_GRID entries replaced by +inf (never crossed)."""
-        out = self.values.copy()
-        out[~self.found_mask()] = np.inf
-        return out
+    @property
+    def status(self) -> tuple[str, ...]:
+        return tuple(FOUND if found else ABOVE_GRID for found in self.found_mask())
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -184,7 +182,7 @@ class Boundary:
             for t, b, s, lb in zip(
                 self.times, self.values, self.status, self.lower_bounds
             ):
-                b_txt = "" if math.isnan(b) else f"{b:.6g}"
+                b_txt = f"{b:.6g}" if s == FOUND else ""
                 writer.writerow([f"{t:.6g}", b_txt, s, f"{lb:.6g}"])
 
 
@@ -263,35 +261,19 @@ def extract_boundary(
 ) -> Boundary:
     """Smallest grid level per time where the waiting premium has vanished.
 
-    Scans each slice in increasing y; U is exactly nonincreasing in y under
-    the shared-draw scheme, so the first level with U <= tol bounds the
-    stopping set from below.  The terminal slice has U identically zero, so
-    it is read off the running-profit sign instead: the stopping set at T
-    degenerates to prices at/above P, pinning b(T) to P within a grid cell.
+    U is exactly nonincreasing in y under the shared-draw scheme, so the
+    first level with U <= tol bounds the stopping set from below (+inf if
+    none does).  The terminal slice has U identically zero, so it is read
+    off the running-profit sign instead: the stopping set at T degenerates
+    to prices at/above P, pinning b(T) to P within a grid cell.
     """
-    tol = stop_tolerance(plant, config)
     levels = grid.price_grid.levels
     times = grid.time_grid.times
-    n = len(times) - 1
-
-    values = np.full(n + 1, np.nan)
-    status: list[str] = []
+    stops = grid.U <= stop_tolerance(plant, config)
+    stops[-1] = levels >= plant.unit_profit
+    values = np.where(stops.any(axis=1), levels[np.argmax(stops, axis=1)], np.inf)
     lbs = np.array([lower_bound(plant, gbm, t) for t in times])
-
-    for i, t in enumerate(times):
-        if i == n:
-            hits = np.nonzero(levels >= plant.unit_profit)[0]
-        else:
-            hits = np.nonzero(grid.U[i] <= tol)[0]
-        if len(hits):
-            values[i] = levels[hits[0]]
-            status.append(FOUND)
-        else:
-            status.append(ABOVE_GRID)
-
-    return Boundary(
-        times=times, values=values, status=tuple(status), lower_bounds=lbs
-    )
+    return Boundary(times=times, values=values, lower_bounds=lbs)
 
 
 def solve_boundary(
@@ -306,23 +288,24 @@ def solve_boundary(
     return grid, extract_boundary(grid, config, gbm, plant)
 
 
+def time_index(times: np.ndarray, t: float) -> int:
+    """Index of the grid time equal to t (within 1e-9), or a ConfigError."""
+    idx = np.nonzero(np.isclose(times, t, rtol=0, atol=1e-9))[0]
+    if not len(idx):
+        raise ConfigError(f"t={t} is not on the time grid")
+    return int(idx[0])
+
+
 def value_at(grid: ValueGrid, t: float, y: float) -> tuple[float, float, float]:
     """(U, V, G) at a grid time t, linearly interpolated in y.
 
     Refuses to extrapolate: y must lie inside [y_0, y_m].
     """
-    times = grid.time_grid.times
-    idx = np.nonzero(np.isclose(times, t, rtol=0, atol=1e-9))[0]
-    if not len(idx):
-        raise ConfigError(f"t={t} is not on the time grid")
-    i = idx[0]
+    i = time_index(grid.time_grid.times, t)
     levels = grid.price_grid.levels
     if not (levels[0] <= y <= levels[-1]):
         raise NumericError(f"y={y} outside price grid [{levels[0]}, {levels[-1]}]")
-    u = float(np.interp(y, levels, grid.U[i]))
-    v = float(np.interp(y, levels, grid.V[i]))
-    g = float(np.interp(y, levels, grid.G[i]))
-    return u, v, g
+    return tuple(float(np.interp(y, levels, a[i])) for a in (grid.U, grid.V, grid.G))
 
 
 def smooth_boundary(
@@ -332,10 +315,12 @@ def smooth_boundary(
 
     Methods: "none" (identity), "isotonic" (pool-adjacent-violators
     projection onto monotone curves, direction chosen by the endpoints),
-    "moving-average" (centered window mean, shrinking at the edges).
+    "moving-average" (centered mean over an odd `window`, shrinking at edges).
     Smoothed values are floored at the continuation lower bound and the
     terminal value is kept as extracted.
     """
+    if method not in SMOOTH_METHODS:
+        raise ConfigError(f"unknown smoothing method {method!r}")
     if method == "none":
         return boundary
 
@@ -345,20 +330,15 @@ def smooth_boundary(
     vals = boundary.values[mask]
 
     if method == "isotonic":
-        increasing = vals[-1] >= vals[0]
-        smoothed = _pava(vals if increasing else vals[::-1])
-        if not increasing:
-            smoothed = smoothed[::-1]
-    elif method == "moving-average":
-        if window < 1:
-            raise ConfigError("window must be >= 1")
+        smoothed = _pava(vals) if vals[-1] >= vals[0] else _pava(vals[::-1])[::-1]
+    else:  # moving-average
+        if window < 1 or window % 2 == 0:
+            raise ConfigError(f"window must be a positive odd number, got {window}")
         smoothed = np.empty_like(vals)
         half = window // 2
         for k in range(len(vals)):
             lo, hi = max(0, k - half), min(len(vals), k + half + 1)
             smoothed[k] = vals[lo:hi].mean()
-    else:
-        raise ConfigError(f"unknown smoothing method {method!r}")
 
     smoothed = np.maximum(smoothed, boundary.lower_bounds[mask])
     smoothed[-1] = vals[-1]
@@ -370,10 +350,9 @@ def smooth_boundary(
 
 def _pava(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators: least-squares nondecreasing fit."""
-    blocks = [[float(v), 1] for v in y]
     merged: list[list[float]] = []
-    for b in blocks:
-        merged.append(b)
+    for v in y:
+        merged.append([float(v), 1])
         while len(merged) > 1 and merged[-2][0] > merged[-1][0]:
             v2, n2 = merged.pop()
             v1, n1 = merged.pop()

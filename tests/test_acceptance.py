@@ -254,7 +254,7 @@ def test_criterion_5_structural_invariants():
         ), f"draw {k}: boundary moved under emission-rate scaling"
 
         _, richer = solve_boundary(gbm, PlantParams(m, 1.3 * p, horizon), shared)
-        gap = richer.values_or_inf() - boundary.values_or_inf()
+        gap = richer.values - boundary.values
         assert (gap >= -1e-12).all(), f"draw {k}: boundary fell as P rose"
 
     report(
@@ -270,7 +270,7 @@ def test_criterion_6_upgrade_lifts_boundary(table2, table3):
     config = SolverConfig(seed=Seed(42))
     for name, case in (("mid-horizon", table2), ("short-horizon", table3)):
         before, after, _ = apply_upgrade(*case, config)
-        gap = after.values_or_inf() - before.values_or_inf()
+        gap = after.values - before.values
         pointwise = bool((gap >= -1e-12).all())
         strict = bool((gap > 1e-12).any())
         ok = ok and pointwise and strict

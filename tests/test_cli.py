@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,6 +7,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import carbonstop.cli as cli
 from carbonstop.cli import main
 
 
@@ -141,6 +143,28 @@ def test_solve_seed_override_changes_output(runner, tmp_path):
     assert s1["seed"] == 1 and s2["seed"] == 99
 
 
+def test_solve_keeps_json_seeds_past_2_pow_53_exact(runner, tmp_path):
+    # 2**53 and 2**53 + 1 are the same float but two different u64 seeds
+    seeds = []
+    for seed in (2**53, 2**53 + 1):
+        payload = base_config()
+        payload["solver"]["seed"] = seed
+        config, out = write_config(tmp_path, payload), tmp_path / str(seed)
+        result = runner.invoke(main, ["solve", "--config", config, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        seeds.append(json.loads((out / "summary.json").read_text())["seed"])
+    assert seeds == [2**53, 2**53 + 1]
+
+
+def test_solve_accepts_largest_u64_seed_flag(runner, tmp_path):
+    config, out = write_config(tmp_path, base_config()), tmp_path / "run"
+    result = runner.invoke(
+        main, ["solve", "--config", config, "--out", str(out), "--seed", str(2**64 - 1)]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "summary.json").read_text())["seed"] == 2**64 - 1
+
+
 def test_solve_with_estimated_parameters(runner, tmp_path):
     csv_path = tmp_path / "prices.csv"
     csv_path.write_text(PRICE_CSV)
@@ -233,6 +257,26 @@ def test_solve_numeric_error_exits_4(runner, tmp_path):
     assert result.exit_code == 4
 
 
+def test_solve_above_grid_writes_blank_rows(runner, tmp_path):
+    # table 1 on a user grid that tops out below P = 14.7: no level stops
+    payload = base_config()
+    payload["plant"]["T"] = 246
+    payload["solver"].update(seed=0, grid_min=1, grid_max=14)
+    out = tmp_path / "run"
+    result = runner.invoke(
+        main, ["solve", "--config", write_config(tmp_path, payload), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+
+    with open(out / "boundary.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert len(rows) == 247
+    assert all(row[1] == "" and row[2] == "ABOVE_GRID" for row in rows)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["b0"] is None and summary["bT"] is None
+    assert summary["above_grid_times"] == len(rows)
+
+
 def test_solve_with_smoothing(runner, tmp_path):
     payload = base_config()
     payload["solver"]["smooth"] = "isotonic"
@@ -241,6 +285,19 @@ def test_solve_with_smoothing(runner, tmp_path):
         main, ["solve", "--config", config, "--out", str(tmp_path / "sm")]
     )
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("method", ["spline", 5, None])
+def test_unknown_smooth_method_exits_before_solving(runner, tmp_path, monkeypatch, method):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the lattice was solved before solver.smooth was checked")
+
+    monkeypatch.setattr(cli, "solve_boundary", no_solve)
+    payload = base_config()
+    payload["solver"]["smooth"] = method
+    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert "solver.smooth" in result.output
 
 
 # --- monitor --------------------------------------------------------------------
@@ -334,11 +391,15 @@ NUMERIC_FIELDS = (
     + [("upgrade", ("plant", "upgrade"), key) for key in ("day", "P_new", "M_new")]
     + [("surface", ("surface",), key) for key in ("T", "p_start", "p_stop", "p_step")]
     + [("surface", ("surface", "survival_query"), key) for key in ("t", "y")]
+    + [("solve", ("solver",), key)
+       for key in ("samples", "grid", "seed", "stop_tol_scale", "grid_min", "grid_max")]
 )
 
 
 def set_field(command, path, key, value):
     payload = CONFIGS[command]()
+    if key in ("grid_min", "grid_max"):  # the two are read only together
+        payload["solver"].update(grid_min=1.0, grid_max=100.0)
     block = payload
     for name in path:
         block = block[name]
@@ -375,9 +436,20 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
         ("solve", ("plant",), "M", None),
         ("upgrade", ("plant", "upgrade"), "day", "x"),
         ("surface", ("surface",), "T", "x"),
+        ("solve", (), "solver", "abc"),
+        ("solve", (), "solver", None),
+        ("solve", (), "solver", []),
+        ("surface", (), "solver", 5),
+        ("solve", ("solver",), "samples", "300"),
+        ("solve", ("solver",), "samples", 300.7),
+        ("solve", ("solver",), "grid", 60.5),
+        ("solve", ("solver",), "seed", 1.5),
+        ("solve", ("solver",), "seed", True),
     ],
     ids=["gbm.y0-text", "plant.M-text", "plant.M-null", "upgrade.day-text",
-         "surface.T-text"],
+         "surface.T-text", "solver-text", "solver-null", "solver-list",
+         "solver-number", "solver.samples-text", "solver.samples-fraction",
+         "solver.grid-fraction", "solver.seed-fraction", "solver.seed-bool"],
 )
 def test_bad_config_value_exits_2(runner, tmp_path, command, path, key, value):
     config = write_config(tmp_path, set_field(command, path, key, value))
@@ -391,6 +463,19 @@ def test_survival_query_needs_y(runner, tmp_path):
     result = runner.invoke(main, ["surface", "--config", config])
     assert_config_error(result)
     assert "'y'" in result.output
+
+
+def test_survival_query_off_grid_exits_before_solving(runner, tmp_path, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before survival_query.t was checked")
+
+    monkeypatch.setattr(cli, "surface", no_sweep)
+    payload = surface_config()
+    payload["surface"]["survival_query"]["t"] = 0.5
+    config = write_config(tmp_path, payload)
+    result = runner.invoke(main, ["surface", "--config", config])
+    assert_config_error(result)
+    assert "t=0.5" in result.output
 
 
 @pytest.mark.parametrize("step", [0, -5, math.inf, math.nan])

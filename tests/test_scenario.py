@@ -22,12 +22,11 @@ from carbonstop import (
 )
 
 
-def flat_boundary(levels, statuses=None):
+def flat_boundary(levels):
     n = len(levels)
     return Boundary(
         times=np.arange(n, dtype=float),
         values=np.asarray(levels, dtype=float),
-        status=tuple(statuses or [FOUND] * n),
         lower_bounds=np.zeros(n),
     )
 
@@ -53,9 +52,8 @@ def test_monitor_no_crossing():
 
 
 def test_monitor_above_grid_never_crossed():
-    boundary = flat_boundary(
-        [float("nan"), 30, 30], statuses=[ABOVE_GRID, FOUND, FOUND]
-    )
+    boundary = flat_boundary([math.inf, 30, 30])
+    assert boundary.status == (ABOVE_GRID, FOUND, FOUND)
     report = monitor(boundary, [1e9, 10, 35])
     assert report.crossing_index == 2
 
@@ -107,7 +105,7 @@ def test_apply_upgrade_lifts_boundary():
     config = SolverConfig(samples_per_node=500, grid_size=80, seed=Seed(3))
     before, after, composite = apply_upgrade(gbm, plant, upgrade, config)
 
-    gap = after.values_or_inf() - before.values_or_inf()
+    gap = after.values - before.values
     assert (gap >= -1e-12).all()
     assert (gap > 1e-12).any()
 

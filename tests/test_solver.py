@@ -203,7 +203,7 @@ def test_boundary_nondecreasing_in_unit_profit():
     _, low = solve_boundary(gbm, plant, shared)
     richer = PlantParams(plant.emission_rate, plant.unit_profit * 1.4, plant.horizon)
     _, high = solve_boundary(gbm, richer, shared)
-    assert (high.values_or_inf() >= low.values_or_inf() - 1e-12).all()
+    assert (high.values >= low.values - 1e-12).all()
 
 
 # --- degenerate closed form ---------------------------------------------
@@ -257,8 +257,7 @@ def test_boundary_above_grid_status():
     )
     _, boundary = solve_boundary(gbm, plant, cramped)
     assert all(s == ABOVE_GRID for s in boundary.status)
-    assert np.isnan(boundary.values).all()
-    assert np.isinf(boundary.values_or_inf()).all()
+    assert np.isinf(boundary.values).all()
 
 
 def test_boundary_respects_lower_bound():
@@ -322,3 +321,6 @@ def test_smooth_boundary_methods():
 
     with pytest.raises(ConfigError):
         smooth_boundary(boundary, "spline")
+    for even in (2, 4):
+        with pytest.raises(ConfigError, match="odd"):
+            smooth_boundary(boundary, "moving-average", window=even)
