@@ -10,6 +10,15 @@ The inner expectation is a sample mean over a fixed batch of draws per
 time slice; all grid nodes of a slice share the batch (common random
 numbers), which makes the stopping indicator exactly monotone in y and
 makes boundary comparisons across P and M exact rather than statistical.
+
+The price grid is log-uniform, y_j = y_0 * r**j.  A draw with
+log xi = (m + f) * log r, m an integer and 0 <= f < 1, moves every level j
+into the cell [y_{j+m}, y_{j+m+1}] at the same linear-interpolation weight
+(r**f - 1)/(r - 1).  The expectation over the batch is therefore a short
+correlation of the grid values with a weight stencil binned by offset m
+(the CONV idea of Lord, Fang, Bervoets & Oosterlee, 2008, without the FFT),
+and a slice costs O(samples + levels * stencil width) time and O(samples +
+levels) memory.
 """
 from __future__ import annotations
 
@@ -30,6 +39,11 @@ SMOOTH_METHODS = ("none", "isotonic", "moving-average")
 DEFAULT_SAMPLES = 2000
 DEFAULT_GRID_SIZE = 200
 DEFAULT_TOL_SCALE = 1e-6
+# A slice holds a few float arrays of `samples` and of `grid + 1` entries,
+# so these caps bound its memory at tens of MB; the lattice itself is three
+# (horizon/delta + 1) x (grid + 1) arrays (U, G, V).
+MAX_SAMPLES = 10**6
+MAX_GRID_SIZE = 20000
 
 
 @dataclass(frozen=True)
@@ -63,7 +77,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PriceGrid:
-    """Strictly increasing price levels y_0 < ... < y_m."""
+    """Log-uniform price levels y_j = y_0 * r**j, r > 1, j = 0..m.
+
+    Each level must lie within a relative 1e-9 of that geometric sequence.
+    """
 
     levels: np.ndarray
 
@@ -74,6 +91,15 @@ class PriceGrid:
         if not np.all(levels > 0) or not np.all(np.diff(levels) > 0):
             raise NumericError("price grid levels must be positive and increasing")
         object.__setattr__(self, "levels", levels)
+        steps = self.log_step * np.arange(len(levels))
+        if not np.abs(np.log(levels) - math.log(levels[0]) - steps).max() <= 1e-9:
+            raise NumericError("price grid levels must be log-uniform (geometric)")
+
+    @property
+    def log_step(self) -> float:
+        """log r, the spacing of the levels in log price."""
+        levels = self.levels
+        return (math.log(levels[-1]) - math.log(levels[0])) / (len(levels) - 1)
 
     def cell_width_at(self, j: int) -> float:
         """Width of the grid cell adjacent to level j (one-cell tolerance)."""
@@ -119,7 +145,10 @@ class SolverConfig:
     declaring U = 0 as stop_tol_scale * P * T, the natural magnitude of U
     for the plant's constant unit profit P.  `price_grid` overrides the
     auto-built geometric grid (needed for common-grid comparisons across
-    parameter variants).
+    parameter variants); like every `PriceGrid` it is log-uniform.
+    `samples_per_node` is capped at MAX_SAMPLES and `grid_size` (also the
+    cell count of a given `price_grid`) at MAX_GRID_SIZE, which bounds a
+    slice's memory whatever the input.
     """
 
     samples_per_node: int = DEFAULT_SAMPLES
@@ -129,10 +158,13 @@ class SolverConfig:
     price_grid: PriceGrid | None = None
 
     def __post_init__(self):
-        if self.samples_per_node < 100:
-            raise ConfigError("samples_per_node must be >= 100")
-        if self.grid_size < 2:
-            raise ConfigError("grid_size must be >= 2")
+        if not (100 <= self.samples_per_node <= MAX_SAMPLES):
+            raise ConfigError(f"samples_per_node must be in [100, {MAX_SAMPLES}]")
+        if not (2 <= self.grid_size <= MAX_GRID_SIZE):
+            raise ConfigError(f"grid_size must be in [2, {MAX_GRID_SIZE}]")
+        grid = self.price_grid
+        if grid is not None and len(grid.levels) > MAX_GRID_SIZE + 1:
+            raise ConfigError(f"price_grid must have at most {MAX_GRID_SIZE} cells")
         if not (0 <= self.stop_tol_scale < math.inf):
             raise ConfigError(
                 f"stop_tol_scale must be finite and >= 0, got {self.stop_tol_scale}"
@@ -190,6 +222,45 @@ def _slice_draws(seed: Seed, step: int, samples: int) -> np.ndarray:
     return seed.stream(step).standard_normal(samples)
 
 
+def _expected_positive_part(
+    C: np.ndarray, log_factors: np.ndarray, log_step: float
+) -> np.ndarray:
+    """Mean over k of max(0, C interpolated at y_j * exp(log_factors[k])),
+    for every level y_j of a log-uniform grid with log spacing `log_step`.
+
+    The interpolation is linear in y and clamps to C[0] below the grid and
+    to C[-1] above it, as np.interp does.  Draw k has offset m = floor(log
+    xi / h) and upper weight w = (r**f - 1)/(r - 1), f the fractional part,
+    so level j reads (1 - w) C[j+m] + w C[j+m+1], indices clipped to the
+    grid (which is the clamping).  On cells where C keeps its sign, max(0,
+    .) of that is the same blend of C+ = max(0, C), a correlation with the
+    weights binned by offset; each cell where C changes sign gets an exact
+    correction.
+    """
+    n = len(C)
+    # Beyond n cells every index clips to the same edge, whatever the weight.
+    shift = np.clip(log_factors / log_step, -n, n)
+    offsets = np.floor(shift)
+    w = np.expm1((shift - offsets) * log_step) / math.expm1(log_step)
+    lo, hi = int(offsets.min()), int(offsets.max())
+    bins = offsets.astype(np.intp) - lo
+    width = hi - lo + 2
+    stencil = np.bincount(bins, 1.0 - w, width) + np.bincount(bins + 1, w, width)
+    pos = np.maximum(C, 0.0)
+    left, right = max(0, -lo), max(0, hi + 1)
+    padded = np.concatenate([np.full(left, pos[0]), pos, np.full(right, pos[-1])])
+    total = np.correlate(padded, stencil, "valid")[lo + left : lo + left + n]
+    # In a cell with C[i] * C[i+1] < 0 the blend of C+ exceeds max(0, blend
+    # of C) by min(w |C[i+1]|, (1 - w) |C[i]|); level j reaches cell i at
+    # offset i - j.
+    for i in np.flatnonzero(C[:-1] * C[1:] < 0):
+        excess = np.minimum(w * abs(C[i + 1]), (1.0 - w) * abs(C[i]))
+        j = i - lo - np.arange(width - 1)
+        inside = (j >= 0) & (j < n)
+        total[j[inside]] -= np.bincount(bins, excess, width - 1)[inside]
+    return total / len(log_factors)
+
+
 def solve_backward(
     gbm: GbmParams,
     plant: PlantParams,
@@ -198,8 +269,10 @@ def solve_backward(
 ) -> ValueGrid:
     """Fill the value lattice by the backward recursion, for constant (M, P).
 
-    Off-grid continuation values are interpolated linearly in y and clamped
-    to the edge values outside the grid.  Deterministic for a fixed seed.
+    Each slice draws one batch of normals and takes the expectation with
+    `_expected_positive_part`: continuation values between levels are
+    interpolated linearly in y, and a draw that leaves the grid reads the
+    edge value (clamping).  Deterministic for a fixed seed.
     """
     check_drift(gbm, plant.horizon)
     config = config or SolverConfig()
@@ -231,12 +304,9 @@ def solve_backward(
         vol = gbm.sigma * math.sqrt(delta)
         for i in range(time_grid.n_steps - 1, -1, -1):
             z = _slice_draws(config.seed, i, config.samples_per_node)
-            factors = np.exp(drift + vol * z)
-            # candidates[j, k] = y_j * xi_k; np.interp clamps outside the grid
-            candidates = levels[:, None] * factors[None, :]
-            cont = np.maximum(0.0, np.interp(candidates, levels, C))
+            cont = _expected_positive_part(C, drift + vol * z, grid.log_step)
             running = delta * (p - levels * math.exp(gbm.mu * remaining[i]))
-            C = cont.mean(axis=1) + running
+            C = cont + running
             U[i] = np.maximum(0.0, C)
             if not np.all(np.isfinite(U[i])):
                 raise NumericError(f"non-finite values in slice t={times[i]}")

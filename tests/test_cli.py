@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import carbonstop.cli as cli
 from carbonstop.cli import main
+from carbonstop.solver import MAX_GRID_SIZE, MAX_SAMPLES
 
 
 @pytest.fixture
@@ -445,11 +446,17 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
         ("solve", ("solver",), "grid", 60.5),
         ("solve", ("solver",), "seed", 1.5),
         ("solve", ("solver",), "seed", True),
+        ("solve", ("solver",), "samples", MAX_SAMPLES + 1),
+        ("solve", ("solver",), "samples", 1e300),
+        ("solve", ("solver",), "grid", MAX_GRID_SIZE + 1),
+        ("surface", ("solver",), "grid", 1e300),
     ],
     ids=["gbm.y0-text", "plant.M-text", "plant.M-null", "upgrade.day-text",
          "surface.T-text", "solver-text", "solver-null", "solver-list",
          "solver-number", "solver.samples-text", "solver.samples-fraction",
-         "solver.grid-fraction", "solver.seed-fraction", "solver.seed-bool"],
+         "solver.grid-fraction", "solver.seed-fraction", "solver.seed-bool",
+         "solver.samples-over-cap", "solver.samples-1e300", "solver.grid-over-cap",
+         "solver.grid-1e300"],
 )
 def test_bad_config_value_exits_2(runner, tmp_path, command, path, key, value):
     config = write_config(tmp_path, set_field(command, path, key, value))

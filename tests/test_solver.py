@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbonstop import (
     ABOVE_GRID,
@@ -21,9 +23,16 @@ from carbonstop import (
     smooth_boundary,
     solve_backward,
     solve_boundary,
+    surface,
     value_at,
 )
-from carbonstop.solver import _pava, stop_tolerance
+from carbonstop.solver import (
+    MAX_GRID_SIZE,
+    MAX_SAMPLES,
+    _expected_positive_part,
+    _pava,
+    stop_tolerance,
+)
 
 
 def small_case(seed=0, **overrides):
@@ -63,6 +72,14 @@ def test_price_grid_validation():
         PriceGrid(np.array([2.0, 1.0]))
     with pytest.raises(NumericError):
         PriceGrid(np.array([0.0, 1.0]))
+    with pytest.raises(NumericError, match="log-uniform"):
+        PriceGrid(np.array([1.0, 2.0, 3.0, 4.0]))
+    # any geometric sequence passes: np.geomspace, two levels, a span so
+    # narrow that the log step is 5e-9, and the largest grid a config allows
+    PriceGrid(np.geomspace(0.168, 72.1, 201))
+    PriceGrid(np.array([3.0, 7.0]))
+    geometric_price_grid(10.0, 10.001, MAX_GRID_SIZE)
+    geometric_price_grid(1e-3, 1e4, MAX_GRID_SIZE)
 
 
 def test_price_grid_cell_width():
@@ -117,6 +134,15 @@ def test_solver_config_validation():
         SolverConfig(samples_per_node=99)
     with pytest.raises(ConfigError):
         SolverConfig(grid_size=1)
+    for samples in (MAX_SAMPLES + 1, 1e300):
+        with pytest.raises(ConfigError, match="samples_per_node"):
+            SolverConfig(samples_per_node=samples)
+    for size in (MAX_GRID_SIZE + 1, 1e300):
+        with pytest.raises(ConfigError, match="grid_size"):
+            SolverConfig(grid_size=size)
+    with pytest.raises(ConfigError, match="price_grid"):
+        SolverConfig(price_grid=geometric_price_grid(1.0, 100.0, MAX_GRID_SIZE + 1))
+    SolverConfig(samples_per_node=MAX_SAMPLES, grid_size=MAX_GRID_SIZE)
     for scale in (-1e-6, math.nan, math.inf):
         with pytest.raises(ConfigError, match="stop_tol_scale"):
             SolverConfig(stop_tol_scale=scale)
@@ -324,3 +350,111 @@ def test_smooth_boundary_methods():
     for even in (2, 4):
         with pytest.raises(ConfigError, match="odd"):
             smooth_boundary(boundary, "moving-average", window=even)
+
+
+# --- expectation operator -------------------------------------------------
+
+
+def interp_expectation(C, log_factors, levels):
+    """Reference operator: np.interp at every (level, draw) pair, clamped to
+    the edge values outside the grid, then max(0, .) and the sample mean."""
+    candidates = levels[:, None] * np.exp(log_factors)[None, :]
+    return np.maximum(0.0, np.interp(candidates, levels, C)).mean(axis=1)
+
+
+@st.composite
+def operator_cases(draw):
+    n = draw(st.integers(2, 40))
+    h = draw(st.floats(1e-3, 0.7))
+    levels = PriceGrid(draw(st.floats(1e-2, 1e2)) * np.exp(h * np.arange(n))).levels
+    # Log-factors reach up to twice the grid's span past either edge; some
+    # land exactly on a level (zero upper weight).
+    reach = 2.0 * n * h
+    log_factors = draw(st.lists(
+        st.one_of(st.floats(-reach, reach),
+                  st.integers(-2 * n, 2 * n).map(lambda m: m * h)),
+        min_size=1, max_size=80,
+    ))
+    magnitudes = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(
+        ["positive", "negative", "monotone", "alternating", "mixed"]))
+    if kind == "positive":
+        C = magnitudes
+    elif kind == "negative":
+        C = -magnitudes
+    elif kind == "monotone":  # decreasing, crossing zero somewhere or nowhere
+        C = np.sort(magnitudes)[::-1] - draw(st.floats(0.0, 1e3))
+    elif kind == "alternating":  # a sign change in every cell
+        C = magnitudes * (-1.0) ** np.arange(n)
+    else:
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        C = magnitudes * np.array(signs)
+    return levels, np.array(log_factors), C
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=operator_cases())
+def test_stencil_operator_matches_interp(case):
+    levels, log_factors, C = case
+    got = _expected_positive_part(C, log_factors, PriceGrid(levels).log_step)
+    want = interp_expectation(C, log_factors, levels)
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(C).max()
+
+
+# --- solver invariants on small lattices ------------------------------------
+
+
+@st.composite
+def small_solves(draw, sigma=st.floats(0.005, 0.1)):
+    gbm = GbmParams(draw(st.floats(5.0, 50.0)), draw(st.floats(-0.01, 0.01)),
+                    draw(sigma))
+    plant = PlantParams(draw(st.floats(1e-3, 0.1)), draw(st.floats(5.0, 40.0)),
+                        draw(st.integers(2, 30)))
+    config = SolverConfig(samples_per_node=draw(st.integers(100, 400)),
+                          grid_size=draw(st.integers(2, 40)),
+                          seed=Seed(draw(st.integers(0, 2**64 - 1))))
+    return gbm, plant, config
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=small_solves())
+def test_stop_set_is_an_up_set_in_price(case):
+    gbm, plant, config = case
+    grid = solve_backward(gbm, plant, None, config)
+    stops = (grid.U <= stop_tolerance(plant, config)).astype(int)
+    assert (np.diff(stops, axis=1) >= 0).all()
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=small_solves(), scale=st.floats(1e-3, 1e3))
+def test_boundary_bitwise_invariant_under_emission_rate(case, scale):
+    gbm, plant, config = case
+    _, base = solve_boundary(gbm, plant, config)
+    scaled = PlantParams(plant.emission_rate * scale, plant.unit_profit, plant.horizon)
+    _, other = solve_boundary(gbm, scaled, config)
+    assert np.array_equal(base.values, other.values)
+    assert np.array_equal(base.lower_bounds, other.lower_bounds)
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=small_solves(), steps=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=3))
+def test_boundary_nondecreasing_in_p_on_shared_grid(case, steps):
+    gbm, plant, config = case
+    p_values = plant.unit_profit + np.cumsum([0.0, *steps])
+    B = surface(gbm, plant.horizon, p_values, config).B
+    assert (B[:, 1:] >= B[:, :-1]).all()  # +inf (above the grid) compares too
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=small_solves(sigma=st.just(0.0)))
+def test_zero_vol_solve_matches_closed_form(case):
+    gbm, plant, config = case
+    grid, boundary = solve_boundary(gbm, plant, config)
+    levels = grid.price_grid.levels
+    remaining = plant.horizon - grid.time_grid.times
+    exact = remaining[:, None] * np.maximum(
+        0.0, plant.unit_profit - levels * np.exp(gbm.mu * remaining)[:, None])
+    assert np.allclose(grid.U, exact, rtol=1e-12, atol=0.0)
+    for b, lb in zip(boundary.values, boundary.lower_bounds):
+        j = int(np.searchsorted(levels, b))
+        assert abs(b - lb) <= grid.price_grid.cell_width_at(j)
