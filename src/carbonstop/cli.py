@@ -1,8 +1,11 @@
 """Command-line front end.
 
 One JSON config per run; scalar flags (--seed, --samples, --grid) override
-the corresponding config fields.  Outputs are written atomically (temp file
-then rename), so an aborted run never leaves partial files behind.
+the corresponding config fields.  This module alone knows the config
+format: each block is read by `_section`, which refuses a key the block
+does not hold, and each number by `config_number`.  Outputs are written
+atomically (temp file then rename), so an aborted run never leaves partial
+files behind.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -21,7 +24,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, config_number, finite_number
+from .errors import ConfigError, DataError, NumericError
 from .gbm import GbmParams, Seed
 from .market_data import (
     DEFAULT_COLUMNS, estimate_gbm, load_price_csv, log_returns, split_at,
@@ -41,6 +44,12 @@ from .solver import (
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# Every command accepts the same top-level sections, so that one config can
+# carry the blocks of several commands.
+SECTIONS = ("gbm", "estimate", "plant", "solver", "monitor", "surface")
+PLANT_KEYS = ("M", "P", "T", "upgrade")
+UPGRADE_KEYS = ("day", "P_new", "M_new")
 
 
 def _fail(code: int, message: str):
@@ -110,17 +119,55 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    for name in config:
+        if name not in SECTIONS:
+            raise ConfigError(f"unknown config section '{name}'")
     return config
 
 
-def _section(config: dict, name: str, optional: bool = False) -> dict:
-    """Section `name`, checked to be an object; an absent optional one is {}."""
+def _section(config: dict, name: str, keys, optional: bool = False) -> dict:
+    """Block `name` of `config`, checked to be an object holding only `keys`;
+    an absent optional block is {}."""
     if name not in config and not optional:
         raise ConfigError(f"config missing '{name}' section")
     block = config.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"config '{name}' section must be a JSON object")
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"unknown config key '{name}.{key}'")
     return block
+
+
+def config_number(block: dict, key: str, section: str) -> float:
+    """`block[key]` as a finite float; a missing key is a ConfigError."""
+    if key not in block:
+        raise ConfigError(f"{section} config missing field '{key}'")
+    return finite_number(block[key], f"{section}.{key}")
+
+
+def finite_number(value, name: str) -> float:
+    """`value` as a finite float, or a ConfigError naming `name`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and abs(value) <= sys.float_info.max:  # False for NaN and inf
+        return float(value)
+    got = repr(value) if isinstance(value, float) else type(value).__name__
+    raise ConfigError(f"{name} must be a finite number, got {got}")
+
+
+def _plant(block: dict) -> PlantParams:
+    return PlantParams(*(config_number(block, key, "plant") for key in ("M", "P", "T")))
+
+
+def _constant_plant(config: dict) -> PlantParams:
+    """The plant of a command that solves with constant (M, P)."""
+    block = _section(config, "plant", PLANT_KEYS)
+    if block.get("upgrade") is not None:
+        raise ConfigError(
+            "plant has an 'upgrade' block, which only the upgrade command "
+            "reads (apply_upgrade); the solver takes constant (M, P)"
+        )
+    return _plant(block)
 
 
 def _parse_day(text, flag: str):
@@ -148,8 +195,9 @@ def _resolve_gbm(config: dict) -> GbmParams:
         raise ConfigError("config needs exactly one of 'gbm' or 'estimate'")
     if has_gbm:
         keys = ("y0", "mu", "sigma")
-        return GbmParams(*(config_number(config["gbm"], key, "gbm") for key in keys))
-    block = _section(config, "estimate")
+        block = _section(config, "gbm", keys)
+        return GbmParams(*(config_number(block, key, "gbm") for key in keys))
+    block = _section(config, "estimate", ("csv", "columns", "start", "end", "y0"))
     if "csv" not in block:
         raise ConfigError("estimate config missing field 'csv'")
     series, est = _estimate(
@@ -163,7 +211,10 @@ def _resolve_gbm(config: dict) -> GbmParams:
 def _resolve_solver_config(
     config: dict, seed: int | None, samples: int | None, grid: int | None
 ) -> tuple[SolverConfig, str]:
-    block = dict(_section(config, "solver", optional=True))
+    keys = (
+        "samples", "grid", "seed", "stop_tol_scale", "smooth", "grid_min", "grid_max"
+    )
+    block = dict(_section(config, "solver", keys, optional=True))
     for key, flag in (("seed", seed), ("samples", samples), ("grid", grid)):
         if flag is not None:
             block[key] = flag
@@ -264,7 +315,7 @@ def estimate(csv_path, date_column, price_column, volume_column, start, end):
 def solve(config_path, seed, out_dir, samples, grid):
     """Solve the halt boundary; writes boundary.csv and summary.json."""
     config, gbm, solver_config, smooth = _resolve_run(config_path, seed, samples, grid)
-    plant = PlantParams.from_dict(_section(config, "plant"))
+    plant = _constant_plant(config)
 
     boundary, elapsed = _timed(lambda: smooth_boundary(
         solve_boundary(gbm, plant, solver_config)[1], method=smooth
@@ -281,8 +332,8 @@ def solve(config_path, seed, out_dir, samples, grid):
 def monitor_cmd(config_path, seed, out_dir, samples, grid):
     """Solve the boundary and test daily prices against it; writes monitor.json."""
     config, gbm, solver_config, _ = _resolve_run(config_path, seed, samples, grid)
-    plant = PlantParams.from_dict(_section(config, "plant"))
-    block = _section(config, "monitor")
+    plant = _constant_plant(config)
+    block = _section(config, "monitor", ("prices_csv", "columns", "prices"))
     if "prices_csv" in block:
         series = load_price_csv(block["prices_csv"], columns=block.get("columns"))
         prices = series.prices
@@ -302,12 +353,14 @@ def monitor_cmd(config_path, seed, out_dir, samples, grid):
 def upgrade_cmd(config_path, seed, out_dir, samples, grid):
     """Solve before/after/composite boundaries around a plant upgrade."""
     config, gbm, solver_config, _ = _resolve_run(config_path, seed, samples, grid)
-    block = dict(_section(config, "plant"))
-    upgrade_block = block.pop("upgrade", None)
-    if upgrade_block is None:
+    block = _section(config, "plant", PLANT_KEYS)
+    if block.get("upgrade") is None:
         raise ConfigError("plant config has no 'upgrade' block")
-    plant = PlantParams.from_dict(block)
-    upgrade = Upgrade.from_dict(upgrade_block)
+    plant = _plant(block)
+    upgrade_block = _section(block, "upgrade", UPGRADE_KEYS)
+    upgrade = Upgrade(
+        *(config_number(upgrade_block, key, "upgrade") for key in UPGRADE_KEYS)
+    )
 
     (before, after, composite), elapsed = _timed(
         lambda: apply_upgrade(gbm, plant, upgrade, solver_config)
@@ -326,7 +379,8 @@ def upgrade_cmd(config_path, seed, out_dir, samples, grid):
 def surface_cmd(config_path, seed, out_dir, samples, grid):
     """Sweep unit-profit levels into a stopping surface B(t, p)."""
     config, gbm, solver_config, _ = _resolve_run(config_path, seed, samples, grid)
-    block = _section(config, "surface")
+    keys = ("T", "p_values", "p_start", "p_stop", "p_step", "survival_query")
+    block = _section(config, "surface", keys)
     horizon = config_number(block, "T", "surface")
     if "p_values" in block:
         values = block["p_values"]
@@ -347,6 +401,7 @@ def surface_cmd(config_path, seed, out_dir, samples, grid):
         )
     query = block.get("survival_query")
     if query is not None:
+        query = _section(block, "survival_query", ("t", "y"))
         t, y = (config_number(query, key, "survival_query") for key in ("t", "y"))
         time_index(TimeGrid(horizon).times, t)
 

@@ -1,5 +1,9 @@
 """Geometric Brownian motion price process with reproducible sampling.
 
+`GbmParams.log_increment` states the one-step law of log(Y_{t+dt}/Y_t),
+normal with mean (mu - sigma^2/2) dt and sd sigma sqrt(dt); the sampler,
+the solver, its default grid and the tree oracle all read it from there.
+
 All randomness flows through numpy's PCG64 generator seeded from a
 SeedSequence built on (master seed, stream index).  Normal draws use
 ``Generator.standard_normal`` (ziggurat); the sampler choice is fixed so
@@ -7,7 +11,6 @@ that documented example values stay stable across runs.
 """
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -32,6 +35,13 @@ class GbmParams:
             raise ConfigError(f"mu must be finite, got {self.mu}")
         if not (0 <= self.sigma < math.inf):
             raise ConfigError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        if self.sigma > math.sqrt(sys.float_info.max):
+            raise ConfigError(f"sigma={self.sigma} is too large: its square overflows")
+
+    def log_increment(self, dt: float) -> tuple[float, float]:
+        """(mean, sd) of the normal log(Y_{t+dt}/Y_t): ((mu - sigma^2/2) dt,
+        sigma sqrt(dt))."""
+        return (self.mu - 0.5 * self.sigma**2) * dt, self.sigma * math.sqrt(dt)
 
 
 def check_drift(params: GbmParams, horizon: float) -> None:
@@ -65,13 +75,6 @@ class PathGrid:
     dt: float
     values: np.ndarray  # length steps + 1, all positive
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["step", "price"])
-            for i, v in enumerate(self.values):
-                writer.writerow([i, f"{v:.6g}"])
-
 
 def exact_step(y: float, params: GbmParams, dt: float, z: float) -> float:
     """One exact GBM transition: y * exp((mu - sigma^2/2) dt + sigma sqrt(dt) z)."""
@@ -79,8 +82,8 @@ def exact_step(y: float, params: GbmParams, dt: float, z: float) -> float:
         raise NumericError(f"price must be positive, got {y}")
     if not (dt > 0):
         raise NumericError(f"dt must be positive, got {dt}")
-    drift = (params.mu - 0.5 * params.sigma**2) * dt
-    return y * math.exp(drift + params.sigma * math.sqrt(dt) * z)
+    mean, sd = params.log_increment(dt)
+    return y * math.exp(mean + sd * z)
 
 
 def simulate_path(
@@ -93,8 +96,8 @@ def simulate_path(
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     z = seed.stream(0).standard_normal(steps)
-    drift = (params.mu - 0.5 * params.sigma**2) * dt
-    increments = drift + params.sigma * math.sqrt(dt) * z
+    mean, sd = params.log_increment(dt)
+    increments = mean + sd * z
     log_path = math.log(params.y0) + np.concatenate([[0.0], np.cumsum(increments)])
     return PathGrid(dt=dt, values=np.exp(log_path))
 

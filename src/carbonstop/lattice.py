@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .gbm import GbmParams
-from .plant import PlantParams
+from .plant import PlantParams, reward
 
 ENUMERATION_MAX_STEPS = 4
 
@@ -35,8 +35,7 @@ class LatticeSpec:
 
     def factors(self, gbm: GbmParams) -> tuple[float, float]:
         """(up, down) multipliers matching the one-step log increment."""
-        drift = (gbm.mu - 0.5 * gbm.sigma**2) * self.delta
-        spread = gbm.sigma * math.sqrt(self.delta)
+        drift, spread = gbm.log_increment(self.delta)
         return math.exp(drift + spread), math.exp(drift - spread)
 
     def mean_factor(self, gbm: GbmParams) -> float:
@@ -142,8 +141,6 @@ def enumerate_policies(
     up, down = spec.factors(gbm)
     n = spec.n_steps
     delta = spec.delta
-    m, p = plant.emission_rate, plant.unit_profit
-    horizon = plant.horizon
 
     nodes = [(i, k) for i in range(n) for k in range(i + 1)]
     paths = list(itertools.product((0, 1), repeat=n))  # 1 = up move
@@ -154,7 +151,7 @@ def enumerate_policies(
         total = 0.0
         for path in paths:
             k = 0
-            tau = horizon
+            tau = plant.horizon
             for i in range(n):
                 if stop_at[(i, k)]:
                     tau = i * delta
@@ -162,7 +159,7 @@ def enumerate_policies(
                 k += path[i]
             ups = sum(path)
             y_terminal = gbm.y0 * up**ups * down ** (n - ups)
-            total += m * p * tau + m * y_terminal * (horizon - tau)
+            total += reward(plant, tau, y_terminal)
         value = total / len(paths)
         best = max(best, value)
     return best

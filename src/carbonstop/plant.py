@@ -3,8 +3,9 @@
 A plant emits M tons of CO2 per trading day and earns P currency units per
 ton emitted.  Halting production at day tau keeps the profit earned so far
 and sells the unused allowance at the horizon price, giving the reward
-M*P*tau + M*Y_T*(T - tau).  (M, P) stay constant over the horizon.  An
-`Upgrade` is a separate value naming new (M, P) from a given trading day
+M*P*tau + M*Y_T*(T - tau), which `reward` states; `immediate_value` is its
+expectation given the price now.  (M, P) stay constant over the horizon.
+An `Upgrade` is a separate value naming new (M, P) from a given trading day
 on; `scenario.apply_upgrade` solves each side with constant parameters.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, config_number
+from .errors import ConfigError
 from .gbm import GbmParams
 
 
@@ -32,11 +33,6 @@ class Upgrade:
         if not (0 < self.new_emission_rate < math.inf):
             raise ConfigError("upgraded emission rate must be positive and finite")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Upgrade":
-        keys = ("day", "P_new", "M_new")
-        return cls(*(config_number(data, key, "upgrade") for key in keys))
-
 
 @dataclass(frozen=True)
 class PlantParams:
@@ -53,18 +49,6 @@ class PlantParams:
             raise ConfigError("unit profit P must be positive and finite")
         if not (1 <= self.horizon < math.inf):
             raise ConfigError("horizon T must be finite and >= 1 trading day")
-
-    def to_dict(self) -> dict:
-        return {"M": self.emission_rate, "P": self.unit_profit, "T": self.horizon}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlantParams":
-        if isinstance(data, dict) and data.get("upgrade") is not None:
-            raise ConfigError(
-                "plant has an 'upgrade' block, which only the upgrade command "
-                "reads (apply_upgrade); the solver takes constant (M, P)"
-            )
-        return cls(*(config_number(data, key, "plant") for key in ("M", "P", "T")))
 
 
 def reward(plant: PlantParams, tau: float, y_terminal: float) -> float:

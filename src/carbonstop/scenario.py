@@ -44,9 +44,6 @@ class MonitorReport:
             "boundary_at_crossing": self.boundary_at_crossing,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def monitor(boundary: Boundary, prices) -> MonitorReport:
     """First trading day whose price reaches the boundary (touch counts).
@@ -158,14 +155,6 @@ class SurfaceGrid:
             indent=2,
             sort_keys=True,
         )
-
-    def p_curvature(self) -> np.ndarray:
-        """Discrete second difference of B in p per time (diagnostic only).
-
-        Mostly negative values indicate the flattening of the surface as p
-        grows (diminishing effect of further profit increases).
-        """
-        return np.diff(self.B, n=2, axis=1)
 
 
 def surface(

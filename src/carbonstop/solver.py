@@ -124,9 +124,8 @@ def default_price_grid(
     check_drift(gbm, plant.horizon)
     p = plant.unit_profit
     l0 = p * math.exp(-gbm.mu * plant.horizon)
-    log_drift = (gbm.mu - 0.5 * gbm.sigma**2) * plant.horizon
-    spread = 3.0 * gbm.sigma * math.sqrt(plant.horizon)
-    lo = 0.5 * min(gbm.y0, p, l0) * math.exp(min(0.0, log_drift) - spread)
+    log_drift, sd = gbm.log_increment(plant.horizon)
+    lo = 0.5 * min(gbm.y0, p, l0) * math.exp(min(0.0, log_drift) - 3.0 * sd)
     hi = 3.0 * max(gbm.y0, p, l0)
     return geometric_price_grid(lo, hi, size)
 
@@ -218,10 +217,6 @@ class Boundary:
                 writer.writerow([f"{t:.6g}", b_txt, s, f"{lb:.6g}"])
 
 
-def _slice_draws(seed: Seed, step: int, samples: int) -> np.ndarray:
-    return seed.stream(step).standard_normal(samples)
-
-
 def _expected_positive_part(
     C: np.ndarray, log_factors: np.ndarray, log_step: float
 ) -> np.ndarray:
@@ -300,10 +295,9 @@ def solve_backward(
         # overshoot at that kink and bias the boundary upward by several
         # grid cells.
         C = np.zeros(len(levels))
-        drift = (gbm.mu - 0.5 * gbm.sigma**2) * delta
-        vol = gbm.sigma * math.sqrt(delta)
+        drift, vol = gbm.log_increment(delta)
         for i in range(time_grid.n_steps - 1, -1, -1):
-            z = _slice_draws(config.seed, i, config.samples_per_node)
+            z = config.seed.stream(i).standard_normal(config.samples_per_node)
             cont = _expected_positive_part(C, drift + vol * z, grid.log_step)
             running = delta * (p - levels * math.exp(gbm.mu * remaining[i]))
             C = cont + running
@@ -378,14 +372,12 @@ def value_at(grid: ValueGrid, t: float, y: float) -> tuple[float, float, float]:
     return tuple(float(np.interp(y, levels, a[i])) for a in (grid.U, grid.V, grid.G))
 
 
-def smooth_boundary(
-    boundary: Boundary, method: str = "none", window: int = 3
-) -> Boundary:
+def smooth_boundary(boundary: Boundary, method: str = "none") -> Boundary:
     """Optional smoothing of a raw boundary.
 
     Methods: "none" (identity), "isotonic" (pool-adjacent-violators
     projection onto monotone curves, direction chosen by the endpoints),
-    "moving-average" (centered mean over an odd `window`, shrinking at edges).
+    "moving-average" (centred 3-point mean, shrinking at the edges).
     Smoothed values are floored at the continuation lower bound and the
     terminal value is kept as extracted.
     """
@@ -402,13 +394,9 @@ def smooth_boundary(
     if method == "isotonic":
         smoothed = _pava(vals) if vals[-1] >= vals[0] else _pava(vals[::-1])[::-1]
     else:  # moving-average
-        if window < 1 or window % 2 == 0:
-            raise ConfigError(f"window must be a positive odd number, got {window}")
-        smoothed = np.empty_like(vals)
-        half = window // 2
-        for k in range(len(vals)):
-            lo, hi = max(0, k - half), min(len(vals), k + half + 1)
-            smoothed[k] = vals[lo:hi].mean()
+        smoothed = np.array(
+            [vals[max(0, k - 1) : k + 2].mean() for k in range(len(vals))]
+        )
 
     smoothed = np.maximum(smoothed, boundary.lower_bounds[mask])
     smoothed[-1] = vals[-1]

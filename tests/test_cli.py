@@ -450,17 +450,74 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
         ("solve", ("solver",), "samples", 1e300),
         ("solve", ("solver",), "grid", MAX_GRID_SIZE + 1),
         ("surface", ("solver",), "grid", 1e300),
+        ("solve", ("gbm",), "sigma", 1e200),
+        ("surface", ("gbm",), "sigma", 1e200),
+        ("solve", ("solver",), "sampels", 4000),
+        ("solve", ("solver",), "smoth", "isotonic"),
+        ("solve", ("gbm",), "sigm", 0.0603),
+        ("solve", ("plant",), "Q", 1.0),
+        ("upgrade", ("plant", "upgrade"), "dday", 20),
+        ("surface", ("surface",), "p_stpe", 2),
+        ("surface", ("surface", "survival_query"), "z", 1.0),
+        ("solve", (), "solvr", {"samples": 300}),
     ],
     ids=["gbm.y0-text", "plant.M-text", "plant.M-null", "upgrade.day-text",
          "surface.T-text", "solver-text", "solver-null", "solver-list",
          "solver-number", "solver.samples-text", "solver.samples-fraction",
          "solver.grid-fraction", "solver.seed-fraction", "solver.seed-bool",
          "solver.samples-over-cap", "solver.samples-1e300", "solver.grid-over-cap",
-         "solver.grid-1e300"],
+         "solver.grid-1e300", "solve-gbm.sigma-1e200", "surface-gbm.sigma-1e200",
+         "solver.sampels-unknown", "solver.smoth-unknown", "gbm.sigm-unknown",
+         "plant.Q-unknown", "upgrade.dday-unknown", "surface.p_stpe-unknown",
+         "survival_query.z-unknown", "solvr-unknown"],
 )
 def test_bad_config_value_exits_2(runner, tmp_path, command, path, key, value):
     config = write_config(tmp_path, set_field(command, path, key, value))
-    assert_config_error(runner.invoke(main, [command, "--config", config]))
+    result = runner.invoke(main, [command, "--config", config])
+    assert_config_error(result)
+    assert key in result.output
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["x", "0.014", None, [0.014], True, 10**400],
+    ids=["text", "numeric-text", "null", "list", "bool", "huge-int"],
+)
+def test_plant_fields_reject_non_numbers(runner, tmp_path, bad):
+    for command, path, key in (
+        ("solve", ("plant",), "M"), ("upgrade", ("plant", "upgrade"), "day")
+    ):
+        config = write_config(tmp_path, set_field(command, path, key, bad))
+        result = runner.invoke(main, [command, "--config", config])
+        assert_config_error(result)
+        assert f"{path[-1]}.{key} must be a finite number" in result.output
+
+
+def test_plant_missing_field_exits_2(runner, tmp_path):
+    payload = base_config()
+    del payload["plant"]["P"]
+    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert "plant config missing field 'P'" in result.output
+
+    payload = upgrade_config()
+    del payload["plant"]["upgrade"]["M_new"]
+    result = runner.invoke(main, ["upgrade", "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert "upgrade config missing field 'M_new'" in result.output
+
+
+def test_null_upgrade_is_no_upgrade(runner, tmp_path):
+    outputs = []
+    for upgrade in ("absent", None):
+        payload = base_config()
+        if upgrade is None:
+            payload["plant"]["upgrade"] = None
+        config, out = write_config(tmp_path, payload), tmp_path / str(upgrade)
+        result = runner.invoke(main, ["solve", "--config", config, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append((out / "boundary.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_survival_query_needs_y(runner, tmp_path):

@@ -22,6 +22,8 @@ def test_params_validation():
     for bad in ((math.inf, 0.0, 0.1), (1.0, math.nan, 0.1), (1.0, 0.0, math.inf)):
         with pytest.raises(ConfigError, match="finite"):
             GbmParams(*bad)
+    with pytest.raises(ConfigError, match="square overflows"):
+        GbmParams(1.0, 0.0, 1e200)
     GbmParams(1.0, -0.5, 0.0)  # zero vol is allowed
 
 
@@ -107,13 +109,3 @@ def test_expected_price():
     )
     with pytest.raises(ConfigError):
         expected_price(params, -1.0)
-
-
-def test_path_to_csv(tmp_path):
-    path = simulate_path(GbmParams(5.0, 0.0, 0.1), steps=3, seed=Seed(1))
-    out = tmp_path / "path.csv"
-    path.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "step,price"
-    assert len(lines) == 5
-    assert float(lines[1].split(",")[1]) == pytest.approx(5.0)
