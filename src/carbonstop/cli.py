@@ -3,7 +3,8 @@
 One JSON config per run; scalar flags (--seed, --samples, --grid) override
 the corresponding config fields.  This module alone knows the config
 format: each block is read by `_section`, which refuses a key the block
-does not hold, and each number by `config_number`.  Outputs are written
+does not hold, each number by `config_number`, each file path by
+`config_text` and each column mapping by `_columns`.  Outputs are written
 atomically (temp file then rename), so an aborted run never leaves partial
 files behind.
 
@@ -155,6 +156,41 @@ def finite_number(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number, got {got}")
 
 
+def config_text(block: dict, key: str, section: str) -> str:
+    """`block[key]` as a string; a missing key is a ConfigError."""
+    if key not in block:
+        raise ConfigError(f"{section} config missing field '{key}'")
+    value = block[key]
+    if not isinstance(value, str):
+        raise ConfigError(
+            f"{section}.{key} must be a string, got {type(value).__name__}"
+        )
+    return value
+
+
+def _columns(block: dict, section: str) -> dict | None:
+    """`block["columns"]`, checked to map some of date/price/volume to
+    header names; absent or null means the default headers."""
+    columns = block.get("columns")
+    if columns is None:
+        return None
+    name = f"{section}.columns"
+    if not isinstance(columns, dict):
+        raise ConfigError(
+            f"{name} must be a JSON object, got {type(columns).__name__}"
+        )
+    for key, header in columns.items():
+        if key not in DEFAULT_COLUMNS:
+            raise ConfigError(
+                f"unknown key '{key}' in {name}; expected date, price or volume"
+            )
+        if not isinstance(header, str):
+            raise ConfigError(
+                f"{name}.{key} must be a string, got {type(header).__name__}"
+            )
+    return columns
+
+
 def _plant(block: dict) -> PlantParams:
     return PlantParams(*(config_number(block, key, "plant") for key in ("M", "P", "T")))
 
@@ -198,11 +234,9 @@ def _resolve_gbm(config: dict) -> GbmParams:
         block = _section(config, "gbm", keys)
         return GbmParams(*(config_number(block, key, "gbm") for key in keys))
     block = _section(config, "estimate", ("csv", "columns", "start", "end", "y0"))
-    if "csv" not in block:
-        raise ConfigError("estimate config missing field 'csv'")
     series, est = _estimate(
-        block["csv"], block.get("columns"), block.get("start"), block.get("end"),
-        ("estimate.start", "estimate.end"),
+        config_text(block, "csv", "estimate"), _columns(block, "estimate"),
+        block.get("start"), block.get("end"), ("estimate.start", "estimate.end"),
     )
     y0 = config_number(block, "y0", "estimate") if "y0" in block else series.prices[-1]
     return GbmParams(y0=y0, mu=est.mu, sigma=est.sigma)
@@ -334,9 +368,10 @@ def monitor_cmd(config_path, seed, out_dir, samples, grid):
     config, gbm, solver_config, _ = _resolve_run(config_path, seed, samples, grid)
     plant = _constant_plant(config)
     block = _section(config, "monitor", ("prices_csv", "columns", "prices"))
+    columns = _columns(block, "monitor")
     if "prices_csv" in block:
-        series = load_price_csv(block["prices_csv"], columns=block.get("columns"))
-        prices = series.prices
+        path = config_text(block, "prices_csv", "monitor")
+        prices = load_price_csv(path, columns=columns).prices
     elif "prices" in block:
         prices = block["prices"]
     else:

@@ -141,9 +141,10 @@ class SurfaceGrid:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["t", "p", "B"])
-            for i, t in enumerate(self.times):
-                for j, p in enumerate(self.p_values):
-                    writer.writerow([f"{t:.6g}", f"{p:.6g}", f"{self.B[i, j]:.6g}"])
+            p_values = self.p_values.tolist()
+            for t, row in zip(self.times.tolist(), self.B.tolist()):
+                for p, b in zip(p_values, row):
+                    writer.writerow([f"{t:.6g}", f"{p:.6g}", f"{b:.6g}"])
 
     def to_json(self) -> str:
         return json.dumps(

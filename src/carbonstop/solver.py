@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -120,12 +121,20 @@ def default_price_grid(
     3-sigma log-diffusion: paths that drift under the grid get their
     continuation value clamped to the edge, which biases the whole lattice
     low if the grid floor is reachable with non-negligible probability.
+    A sigma so large that this floor underflows the normal floats is a
+    ConfigError; an explicit grid is then the way to solve.
     """
     check_drift(gbm, plant.horizon)
     p = plant.unit_profit
     l0 = p * math.exp(-gbm.mu * plant.horizon)
     log_drift, sd = gbm.log_increment(plant.horizon)
     lo = 0.5 * min(gbm.y0, p, l0) * math.exp(min(0.0, log_drift) - 3.0 * sd)
+    if lo < sys.float_info.min:  # 0.0, or subnormal and too coarse to be geometric
+        raise ConfigError(
+            f"sigma={gbm.sigma} over the horizon T={plant.horizon} puts the default "
+            f"price grid floor at {lo}, below the smallest normal float; "
+            "give solver grid_min and grid_max"
+        )
     hi = 3.0 * max(gbm.y0, p, l0)
     return geometric_price_grid(lo, hi, size)
 
@@ -177,7 +186,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """U, G and V = M*U + G on the time x price lattice."""
+    """U, G and V = M*U + G on the time x price lattice.
+
+    G[i, j] is `immediate_value` at (t_i, y_j), one call per node on Python
+    floats; the benchmark counts those calls until G becomes a closed-form
+    array (ROADMAP items 2 and 3).
+    """
 
     time_grid: TimeGrid
     price_grid: PriceGrid
@@ -204,14 +218,19 @@ class Boundary:
 
     @property
     def status(self) -> tuple[str, ...]:
-        return tuple(FOUND if found else ABOVE_GRID for found in self.found_mask())
+        return tuple(
+            FOUND if found else ABOVE_GRID for found in self.found_mask().tolist()
+        )
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["t", "b", "status", "lower_bound"])
             for t, b, s, lb in zip(
-                self.times, self.values, self.status, self.lower_bounds
+                self.times.tolist(),
+                self.values.tolist(),
+                self.status,
+                self.lower_bounds.tolist(),
             ):
                 b_txt = f"{b:.6g}" if s == FOUND else ""
                 writer.writerow([f"{t:.6g}", b_txt, s, f"{lb:.6g}"])
@@ -268,6 +287,13 @@ def solve_backward(
     `_expected_positive_part`: continuation values between levels are
     interpolated linearly in y, and a draw that leaves the grid reads the
     edge value (clamping).  Deterministic for a fixed seed.
+
+    G is filled row by row with one `immediate_value` call per node, and V
+    from it.  The loops run over Python floats (`tolist`), not numpy
+    scalars: the IEEE operations and so the values are the same, and a call
+    costs less than half as much.  The one-call-per-node fill stays because
+    perfbench counts `immediate_value` calls per node until ROADMAP items 2
+    and 3 replace it with closed-form arrays.
     """
     check_drift(gbm, plant.horizon)
     config = config or SolverConfig()
@@ -307,8 +333,9 @@ def solve_backward(
 
     G = np.empty_like(U)
     V = np.empty_like(U)
-    for i, t in enumerate(times):
-        G[i] = [immediate_value(plant, gbm, t, y) for y in levels]
+    level_list = levels.tolist()
+    for i, t in enumerate(times.tolist()):
+        G[i] = [immediate_value(plant, gbm, t, y) for y in level_list]
         V[i] = plant.emission_rate * U[i] + G[i]
     return ValueGrid(time_grid=time_grid, price_grid=grid, U=U, G=G, V=V)
 
@@ -336,7 +363,7 @@ def extract_boundary(
     stops = grid.U <= stop_tolerance(plant, config)
     stops[-1] = levels >= plant.unit_profit
     values = np.where(stops.any(axis=1), levels[np.argmax(stops, axis=1)], np.inf)
-    lbs = np.array([lower_bound(plant, gbm, t) for t in times])
+    lbs = np.array([lower_bound(plant, gbm, t) for t in times.tolist()])
     return Boundary(times=times, values=values, lower_bounds=lbs)
 
 

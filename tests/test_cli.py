@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import carbonstop
 import carbonstop.cli as cli
 from carbonstop.cli import main
 from carbonstop.solver import MAX_GRID_SIZE, MAX_SAMPLES
@@ -51,7 +56,18 @@ def surface_config():
     }
 
 
-CONFIGS = {"solve": base_config, "upgrade": upgrade_config, "surface": surface_config}
+def monitor_config():
+    payload = base_config()
+    payload["monitor"] = {"prices_csv": "prices.csv"}
+    return payload
+
+
+CONFIGS = {
+    "solve": base_config,
+    "upgrade": upgrade_config,
+    "surface": surface_config,
+    "monitor": monitor_config,
+}
 
 
 def assert_config_error(result):
@@ -401,6 +417,9 @@ def set_field(command, path, key, value):
     payload = CONFIGS[command]()
     if key in ("grid_min", "grid_max"):  # the two are read only together
         payload["solver"].update(grid_min=1.0, grid_max=100.0)
+    if path[:1] == ("estimate",):  # estimated parameters replace the gbm block
+        del payload["gbm"]
+        payload["estimate"] = {"csv": "prices.csv"}
     block = payload
     for name in path:
         block = block[name]
@@ -460,6 +479,15 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
         ("surface", ("surface",), "p_stpe", 2),
         ("surface", ("surface", "survival_query"), "z", 1.0),
         ("solve", (), "solvr", {"samples": 300}),
+        ("solve", ("estimate",), "columns", 5),
+        ("solve", ("estimate",), "columns", ["a"]),
+        ("solve", ("estimate",), "columns", {"close": "price"}),
+        ("solve", ("estimate",), "columns", {"price": 3}),
+        ("monitor", ("monitor",), "columns", 5),
+        ("monitor", ("monitor",), "columns", ["a"]),
+        ("monitor", ("monitor",), "columns", {"date": None}),
+        ("solve", ("gbm",), "sigma", 1e100),
+        ("surface", ("gbm",), "sigma", 1e100),
     ],
     ids=["gbm.y0-text", "plant.M-text", "plant.M-null", "upgrade.day-text",
          "surface.T-text", "solver-text", "solver-null", "solver-list",
@@ -469,13 +497,47 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
          "solver.grid-1e300", "solve-gbm.sigma-1e200", "surface-gbm.sigma-1e200",
          "solver.sampels-unknown", "solver.smoth-unknown", "gbm.sigm-unknown",
          "plant.Q-unknown", "upgrade.dday-unknown", "surface.p_stpe-unknown",
-         "survival_query.z-unknown", "solvr-unknown"],
+         "survival_query.z-unknown", "solvr-unknown", "estimate.columns-number",
+         "estimate.columns-list", "estimate.columns-unknown-key",
+         "estimate.columns-number-header", "monitor.columns-number",
+         "monitor.columns-list", "monitor.columns-null-header",
+         "solve-gbm.sigma-1e100", "surface-gbm.sigma-1e100"],
 )
 def test_bad_config_value_exits_2(runner, tmp_path, command, path, key, value):
     config = write_config(tmp_path, set_field(command, path, key, value))
     result = runner.invoke(main, [command, "--config", config])
     assert_config_error(result)
     assert key in result.output
+
+
+@pytest.mark.parametrize("value", [0, 1.5], ids=["zero", "fraction"])
+@pytest.mark.parametrize(
+    "command, section, key",
+    [("solve", "estimate", "csv"), ("monitor", "monitor", "prices_csv")],
+)
+def test_csv_path_must_be_a_string(tmp_path, command, section, key, value):
+    # open(0) would read standard input as the price file and close it; run
+    # the CLI in its own process with a price CSV as stdin and check that
+    # the shared file offset has not moved.
+    payload = base_config()
+    if section == "estimate":
+        del payload["gbm"]
+    payload[section] = {key: value}
+    config = write_config(tmp_path, payload)
+    stdin_csv = tmp_path / "stdin.csv"
+    stdin_csv.write_text(PRICE_CSV)
+    env = dict(os.environ, PYTHONPATH=str(Path(carbonstop.__file__).parents[1]))
+    with open(stdin_csv, "rb") as stdin:
+        done = subprocess.run(
+            [sys.executable, "-m", "carbonstop.cli", command, "--config", config,
+             "--out", str(tmp_path / "out")],
+            stdin=stdin, capture_output=True, text=True, env=env, timeout=60,
+        )
+        offset = os.lseek(stdin.fileno(), 0, os.SEEK_CUR)
+    assert done.returncode == 2, done.stderr
+    assert f"{section}.{key} must be a string" in done.stderr
+    assert offset == 0
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from carbonstop import (
     PlantParams,
     Seed,
     SolverConfig,
+    SurfaceGrid,
     Upgrade,
     apply_upgrade,
     min_survival_p,
@@ -138,6 +139,12 @@ def test_comparisons_reject_overflowing_drift():
         surface(gbm, 246, [10.0, 12.0])
 
 
+def test_surface_rejects_an_underflowing_grid_floor():
+    gbm = GbmParams(20.0, -0.003, 1e100)
+    with pytest.raises(ConfigError, match="sigma"):
+        surface(gbm, 12, [5.0, 10.0])
+
+
 # --- surface -----------------------------------------------------------------
 
 
@@ -182,6 +189,23 @@ def test_surface_serialization(tmp_path, small_surface):
     payload = json.loads(small_surface.to_json())
     assert len(payload["times"]) == 13
     assert len(payload["B"][0]) == 4
+
+
+def test_surface_csv_golden_text(tmp_path):
+    surf = SurfaceGrid(
+        p_values=np.array([5.0, 12.3456789]),
+        times=np.array([0.0, 0.5]),
+        B=np.array([[1e-7, np.inf], [1e6, 14.7]]),
+    )
+    out = tmp_path / "surface.csv"
+    surf.to_long_csv(out)
+    assert out.read_bytes() == (
+        b"t,p,B\r\n"
+        b"0,5,1e-07\r\n"
+        b"0,12.3457,inf\r\n"
+        b"0.5,5,1e+06\r\n"
+        b"0.5,12.3457,14.7\r\n"
+    )
 
 
 def test_min_survival_p_edge_cases(small_surface):

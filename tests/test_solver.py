@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from carbonstop import (
     ABOVE_GRID,
     FOUND,
+    Boundary,
     ConfigError,
     GbmParams,
     NumericError,
@@ -19,6 +20,7 @@ from carbonstop import (
     default_price_grid,
     extract_boundary,
     geometric_price_grid,
+    immediate_value,
     lower_bound,
     smooth_boundary,
     solve_backward,
@@ -127,6 +129,23 @@ def test_default_grid_floor_does_not_bind_on_table1():
     )
     cell = grid.price_grid.cell_width_at(int(np.searchsorted(levels, base.values[0])))
     assert abs(extended.values[0] - base.values[0]) <= cell
+
+
+@pytest.mark.parametrize("sigma", [2.26, 3.0, 1e100])
+def test_default_grid_floor_underflow_is_a_config_error(sigma):
+    # On table 1 the floor drops below the smallest normal float near sigma
+    # 2.22, is subnormal at 2.26 and is 0.0 from 2.28 on.
+    gbm = GbmParams(21.43, -0.0020, sigma)
+    plant = PlantParams(0.014, 14.7, 246)
+    with pytest.raises(ConfigError, match="sigma=.*T=246"):
+        default_price_grid(gbm, plant)
+    with pytest.raises(ConfigError, match="sigma"):
+        solve_boundary(gbm, plant, SolverConfig(samples_per_node=100))
+    # An explicit grid is not checked against the default floor.
+    config = SolverConfig(
+        samples_per_node=100, price_grid=geometric_price_grid(1.0, 30.0, 20)
+    )
+    assert solve_boundary(gbm, plant, config)[1].values[-1] == pytest.approx(14.7, rel=0.2)
 
 
 def test_solver_config_validation():
@@ -303,6 +322,43 @@ def test_boundary_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,b,status,lower_bound"
     assert len(lines) == 32
+
+
+def test_boundary_csv_golden_text(tmp_path):
+    boundary = Boundary(
+        times=np.array([0.0, 0.5, 2.0, 246.0]),
+        values=np.array([12.3456789, np.inf, 1e-7, 1e6]),
+        lower_bounds=np.array([1e-7, 12.3456789, 1e6, 0.0]),
+    )
+    out = tmp_path / "boundary.csv"
+    boundary.to_csv(out)
+    assert out.read_bytes() == (
+        b"t,b,status,lower_bound\r\n"
+        b"0,12.3457,FOUND,1e-07\r\n"
+        b"0.5,,ABOVE_GRID,12.3457\r\n"
+        b"2,1e-07,FOUND,1e+06\r\n"
+        b"246,1e+06,FOUND,0\r\n"
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.0603, 0.0], ids=["table1", "zero-vol"])
+def test_value_grid_matches_per_node_calls(sigma):
+    # G is filled with one immediate_value call per node and the bounds
+    # with one lower_bound call per time; the same calls on numpy scalars
+    # must give the same bits.
+    gbm = GbmParams(21.43, -0.0020, sigma)
+    plant = PlantParams(0.014, 14.7, 246)
+    grid, boundary = solve_boundary(gbm, plant, SolverConfig(seed=Seed(3)))
+    times, levels = grid.time_grid.times, grid.price_grid.levels
+    G = np.array([[immediate_value(plant, gbm, t, y) for y in levels] for t in times])
+    lbs = np.array([lower_bound(plant, gbm, t) for t in times])
+
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    assert np.array_equal(bits(grid.G), bits(G))
+    assert np.array_equal(bits(grid.V), bits(plant.emission_rate * grid.U + G))
+    assert np.array_equal(bits(boundary.lower_bounds), bits(lbs))
 
 
 # --- value queries and smoothing -----------------------------------------
