@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from carbonstop import (
     SurfaceGrid,
     Upgrade,
     apply_upgrade,
+    default_price_grid,
+    geometric_price_grid,
     min_survival_p,
     monitor,
+    solve_boundary,
     surface,
 )
 
@@ -243,3 +247,48 @@ def test_survival_threshold_rises_toward_horizon(wide_sweep):
     assert min_survival_p(surf, 0.0, 45.0) == 22.0
     assert min_survival_p(surf, 135.0, 45.0) >= 36.0
     assert min_survival_p(surf, 148.0, 45.0) is None
+
+
+# --- shared-grid drives against independent solves ---------------------------
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def solo_config(gbm, plants, config):
+    """`config` with the one grid a shared-grid drive solves `plants` on."""
+    spans = [default_price_grid(gbm, pl, config.grid_size).levels for pl in plants]
+    grid = geometric_price_grid(
+        min(s[0] for s in spans), max(s[-1] for s in spans), config.grid_size
+    )
+    return replace(config, price_grid=grid)
+
+
+CRITERION_7 = (GbmParams(40.0, -0.0014, 0.0805), 150, range(10, 41, 2))
+
+
+def test_surface_equals_independent_solves_on_its_grid():
+    gbm, horizon, p_values = CRITERION_7
+    config = SolverConfig(samples_per_node=1000, seed=Seed(42))
+    plants = [PlantParams(1.0, float(p), horizon) for p in p_values]
+    surf = surface(gbm, horizon, p_values, config)
+    solo = solo_config(gbm, plants, config)
+    for k, plant in enumerate(plants):
+        _, boundary = solve_boundary(gbm, plant, solo)
+        assert np.array_equal(bits(surf.B[:, k]), bits(boundary.values))
+
+
+@pytest.mark.parametrize("table", ["table2", "table3"])
+def test_upgrade_equals_independent_solves_on_its_grid(request, table):
+    gbm, plant, upgrade = request.getfixturevalue(table)
+    after_plant = PlantParams(
+        upgrade.new_emission_rate, upgrade.new_unit_profit, plant.horizon
+    )
+    config = SolverConfig(seed=Seed(42))
+    shared = apply_upgrade(gbm, plant, upgrade, config)[:2]
+    solo = solo_config(gbm, [plant, after_plant], config)
+    for got, pl in zip(shared, [plant, after_plant]):
+        _, want = solve_boundary(gbm, pl, solo)
+        assert np.array_equal(bits(got.values), bits(want.values))
+        assert np.array_equal(bits(got.lower_bounds), bits(want.lower_bounds))
