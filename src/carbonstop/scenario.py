@@ -2,7 +2,10 @@
 
 All multi-solve operations reuse the same master seed and a shared price
 grid (common random numbers), so the monotone orderings they report hold
-exactly, not just in expectation.
+exactly, not just in expectation.  Their solves also share one
+`SliceDraws`: each slice's normals and stencil are made once per drive, and
+every plant after the first only applies them, to the same bits that an
+independent solve on that grid and seed gives.
 """
 from __future__ import annotations
 
@@ -19,7 +22,9 @@ from .market_data import PriceSeries
 from .plant import PlantParams, Upgrade
 from .solver import (
     Boundary,
+    SliceDraws,
     SolverConfig,
+    TimeGrid,
     default_price_grid,
     geometric_price_grid,
     solve_boundary,
@@ -84,7 +89,13 @@ def _solve_shared(
     gbm: GbmParams, plants: list[PlantParams], config: SolverConfig | None
 ) -> list[Boundary]:
     """Boundaries of plants with one horizon, solved with one seed on one
-    price grid wide enough for all of them (common random numbers)."""
+    price grid wide enough for all of them (common random numbers).
+
+    Every solve is a `solve_boundary` call of its own, handed the drive's
+    one shared `SliceDraws`: the first solve builds each slice's draws and
+    stencil and keeps them (up to solver.SHARED_DRAW_BYTES), and the others
+    only apply them.
+    """
     config = config or SolverConfig()
     if config.price_grid is None:
         spans = [default_price_grid(gbm, pl, config.grid_size).levels for pl in plants]
@@ -92,7 +103,9 @@ def _solve_shared(
         hi = max(s[-1] for s in spans)
         grid = geometric_price_grid(lo, hi, config.grid_size)
         config = replace(config, price_grid=grid)
-    return [solve_boundary(gbm, pl, config)[1] for pl in plants]
+    time_grid = TimeGrid(plants[0].horizon)
+    draws = SliceDraws(gbm, config, config.price_grid, time_grid, shared=True)
+    return [solve_boundary(gbm, pl, config, time_grid, draws)[1] for pl in plants]
 
 
 def apply_upgrade(

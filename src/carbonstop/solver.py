@@ -18,7 +18,10 @@ into the cell [y_{j+m}, y_{j+m+1}] at the same linear-interpolation weight
 correlation of the grid values with a weight stencil binned by offset m
 (the CONV idea of Lord, Fang, Bervoets & Oosterlee, 2008, without the FFT),
 and a slice costs O(samples + levels * stencil width) time and O(samples +
-levels) memory.
+levels) memory.  None of that depends on C, P or M: a slice's draws are
+binned once into a `_Stencil`, and a shared-grid drive hands one
+`SliceDraws` to all of its solves, so that every plant after the first only
+applies the stencils.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -42,9 +46,12 @@ DEFAULT_GRID_SIZE = 200
 DEFAULT_TOL_SCALE = 1e-6
 # A slice holds a few float arrays of `samples` and of `grid + 1` entries,
 # so these caps bound its memory at tens of MB; the lattice itself is three
-# (horizon/delta + 1) x (grid + 1) arrays (U, G, V).
+# (horizon/delta + 1) x (grid + 1) arrays (U, G, V).  A shared-grid drive
+# also keeps its built slices, about 9 bytes per sample each, up to
+# SHARED_DRAW_BYTES; a standalone solve keeps none across slices.
 MAX_SAMPLES = 10**6
 MAX_GRID_SIZE = 20000
+SHARED_DRAW_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -121,8 +128,9 @@ def default_price_grid(
     3-sigma log-diffusion: paths that drift under the grid get their
     continuation value clamped to the edge, which biases the whole lattice
     low if the grid floor is reachable with non-negligible probability.
-    A sigma so large that this floor underflows the normal floats is a
-    ConfigError; an explicit grid is then the way to solve.
+    A sigma so large that this floor underflows the normal floats, or a y0,
+    P or drift growth so large that the ceiling overflows, is a ConfigError;
+    an explicit grid is then the way to solve.
     """
     check_drift(gbm, plant.horizon)
     p = plant.unit_profit
@@ -136,6 +144,13 @@ def default_price_grid(
             "give solver grid_min and grid_max"
         )
     hi = 3.0 * max(gbm.y0, p, l0)
+    if hi > sys.float_info.max:
+        raise ConfigError(
+            f"y0={gbm.y0}, P={p} and the drift growth exp(-mu*T)="
+            f"{math.exp(-gbm.mu * plant.horizon):.6g} put the default price grid "
+            "ceiling 3*max(y0, P, P*exp(-mu*T)) above the largest float; "
+            "give solver grid_min and grid_max"
+        )
     return geometric_price_grid(lo, hi, size)
 
 
@@ -236,43 +251,106 @@ class Boundary:
                 writer.writerow([f"{t:.6g}", b_txt, s, f"{lb:.6g}"])
 
 
-def _expected_positive_part(
-    C: np.ndarray, log_factors: np.ndarray, log_step: float
-) -> np.ndarray:
-    """Mean over k of max(0, C interpolated at y_j * exp(log_factors[k])),
-    for every level y_j of a log-uniform grid with log spacing `log_step`.
+@dataclass(frozen=True)
+class _Stencil:
+    """One slice's draws binned on a log-uniform grid of n levels.
 
-    The interpolation is linear in y and clamps to C[0] below the grid and
-    to C[-1] above it, as np.interp does.  Draw k has offset m = floor(log
-    xi / h) and upper weight w = (r**f - 1)/(r - 1), f the fractional part,
-    so level j reads (1 - w) C[j+m] + w C[j+m+1], indices clipped to the
-    grid (which is the clamping).  On cells where C keeps its sign, max(0,
-    .) of that is the same blend of C+ = max(0, C), a correlation with the
-    weights binned by offset; each cell where C changes sign gets an exact
-    correction.
+    Draw k has offset m = floor(log xi / h) and upper weight w = (r**f -
+    1)/(r - 1), f the fractional part, so level j reads (1 - w) C[j+m] + w
+    C[j+m+1], indices clipped to the grid (which is the clamping).  `bins`
+    holds m - lo per draw, `weights` the draws' weight binned by offset.
     """
-    n = len(C)
-    # Beyond n cells every index clips to the same edge, whatever the weight.
-    shift = np.clip(log_factors / log_step, -n, n)
-    offsets = np.floor(shift)
-    w = np.expm1((shift - offsets) * log_step) / math.expm1(log_step)
-    lo, hi = int(offsets.min()), int(offsets.max())
-    bins = offsets.astype(np.intp) - lo
-    width = hi - lo + 2
-    stencil = np.bincount(bins, 1.0 - w, width) + np.bincount(bins + 1, w, width)
-    pos = np.maximum(C, 0.0)
-    left, right = max(0, -lo), max(0, hi + 1)
-    padded = np.concatenate([np.full(left, pos[0]), pos, np.full(right, pos[-1])])
-    total = np.correlate(padded, stencil, "valid")[lo + left : lo + left + n]
-    # In a cell with C[i] * C[i+1] < 0 the blend of C+ exceeds max(0, blend
-    # of C) by min(w |C[i+1]|, (1 - w) |C[i]|); level j reaches cell i at
-    # offset i - j.
-    for i in np.flatnonzero(C[:-1] * C[1:] < 0):
-        excess = np.minimum(w * abs(C[i + 1]), (1.0 - w) * abs(C[i]))
-        j = i - lo - np.arange(width - 1)
-        inside = (j >= 0) & (j < n)
-        total[j[inside]] -= np.bincount(bins, excess, width - 1)[inside]
-    return total / len(log_factors)
+
+    lo: int
+    bins: np.ndarray  # smallest unsigned dtype that holds the width
+    w: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def build(cls, log_factors: np.ndarray, log_step: float, n: int) -> "_Stencil":
+        # Beyond n cells every index clips to the same edge, whatever the weight.
+        shift = np.clip(log_factors / log_step, -n, n)
+        offsets = np.floor(shift)
+        w = np.expm1((shift - offsets) * log_step) / math.expm1(log_step)
+        lo, hi = int(offsets.min()), int(offsets.max())
+        bins = offsets.astype(np.intp) - lo
+        width = hi - lo + 2
+        weights = np.bincount(bins, 1.0 - w, width) + np.bincount(bins + 1, w, width)
+        return cls(lo, bins.astype(np.min_scalar_type(width)), w, weights)
+
+    @property
+    def nbytes(self) -> int:
+        return self.bins.nbytes + self.w.nbytes + self.weights.nbytes
+
+    def expected_positive_part(self, C: np.ndarray) -> np.ndarray:
+        """Mean over the draws of max(0, C interpolated at y_j * xi), for
+        every level y_j.
+
+        The interpolation is linear in y and clamps to C[0] below the grid
+        and to C[-1] above it, as np.interp does.  On cells where C keeps
+        its sign, max(0, .) of the blend is the same blend of C+ = max(0,
+        C), a correlation with the binned weights; each cell where C changes
+        sign gets an exact correction.
+        """
+        n, lo, width = len(C), self.lo, len(self.weights)
+        pos = np.maximum(C, 0.0)
+        left, right = max(0, -lo), max(0, lo + width - 1)
+        padded = np.concatenate([np.full(left, pos[0]), pos, np.full(right, pos[-1])])
+        total = np.correlate(padded, self.weights, "valid")[lo + left : lo + left + n]
+        # In a cell with C[i] * C[i+1] < 0 the blend of C+ exceeds max(0,
+        # blend of C) by min(w |C[i+1]|, (1 - w) |C[i]|); level j reaches
+        # cell i at offset i - j.
+        w = self.w
+        for i in np.flatnonzero(C[:-1] * C[1:] < 0):
+            excess = np.minimum(w * abs(C[i + 1]), (1.0 - w) * abs(C[i]))
+            j = i - lo - np.arange(width - 1)
+            inside = (j >= 0) & (j < n)
+            total[j[inside]] -= np.bincount(self.bins, excess, width - 1)[inside]
+        return total / len(w)
+
+
+class SliceDraws:
+    """The `_Stencil` of every slice of one seed's draws on one price grid.
+
+    Slice i is built from one `Seed.stream(i)` batch on first use.  A slice
+    depends on the seed, the sample count, the one-step log law, the grid's
+    log step and its level count, and on nothing else: the operator is
+    invariant under translation on a log grid, so y_0 does not enter.
+    Without `shared` nothing is kept, so a solve of its own builds, applies
+    and drops each slice.  A shared-grid drive passes one `shared` object
+    to all of its solves: it keeps built slices up to SHARED_DRAW_BYTES, and
+    a slice past that is rebuilt by each solve from the same stream, to the
+    same bits.
+    """
+
+    def __init__(
+        self,
+        gbm: GbmParams,
+        config: SolverConfig,
+        grid: PriceGrid,
+        time_grid: TimeGrid,
+        shared: bool = False,
+    ):
+        self.key = (
+            config.seed,
+            config.samples_per_node,
+            gbm.log_increment(time_grid.delta),
+            grid.log_step,
+            len(grid.levels),
+        )
+        self._room = SHARED_DRAW_BYTES if shared else 0
+        self._kept: dict[int, _Stencil] = {}
+
+    def __getitem__(self, i: int) -> _Stencil:
+        stencil = self._kept.get(i)
+        if stencil is None:
+            seed, samples, (drift, vol), log_step, n = self.key
+            z = seed.stream(i).standard_normal(samples)
+            stencil = _Stencil.build(drift + vol * z, log_step, n)
+            if stencil.nbytes <= self._room:
+                self._kept[i] = stencil
+                self._room -= stencil.nbytes
+        return stencil
 
 
 def solve_backward(
@@ -280,20 +358,24 @@ def solve_backward(
     plant: PlantParams,
     time_grid: TimeGrid | None = None,
     config: SolverConfig | None = None,
+    draws: SliceDraws | None = None,
 ) -> ValueGrid:
     """Fill the value lattice by the backward recursion, for constant (M, P).
 
-    Each slice draws one batch of normals and takes the expectation with
-    `_expected_positive_part`: continuation values between levels are
+    Slice i takes its expectation with `draws[i]`, one batch of normals
+    binned on the grid: continuation values between levels are
     interpolated linearly in y, and a draw that leaves the grid reads the
-    edge value (clamping).  Deterministic for a fixed seed.
+    edge value (clamping).  Deterministic for a fixed seed.  `draws` lets a
+    shared-grid drive reuse the slices across its solves; without it each
+    slice is built and dropped.  Draws built for another seed, sample
+    count, time step or grid are a ConfigError.
 
-    G is filled row by row with one `immediate_value` call per node, and V
-    from it.  The loops run over Python floats (`tolist`), not numpy
-    scalars: the IEEE operations and so the values are the same, and a call
-    costs less than half as much.  The one-call-per-node fill stays because
-    perfbench counts `immediate_value` calls per node until ROADMAP items 2
-    and 3 replace it with closed-form arrays.
+    G is filled row by row with one `immediate_value` call per node on
+    Python floats (`tolist`), not numpy scalars: the IEEE operations and so
+    the values are the same, and a call costs less than half as much.  The
+    one-call-per-node fill stays because perfbench counts `immediate_value`
+    calls per node until ROADMAP items 2 and 3 replace it with closed-form
+    arrays.
     """
     check_drift(gbm, plant.horizon)
     config = config or SolverConfig()
@@ -301,6 +383,14 @@ def solve_backward(
     if abs(time_grid.horizon - plant.horizon) > 1e-9:
         raise ConfigError("time grid horizon must match the plant horizon")
     grid = config.resolve_grid(gbm, plant)
+    own = SliceDraws(gbm, config, grid, time_grid)
+    if draws is None:
+        draws = own
+    elif draws.key != own.key:
+        raise ConfigError(
+            "slice draws were built for another seed, sample count, time step "
+            "or price grid"
+        )
 
     levels = grid.levels
     times = time_grid.times
@@ -321,10 +411,8 @@ def solve_backward(
         # overshoot at that kink and bias the boundary upward by several
         # grid cells.
         C = np.zeros(len(levels))
-        drift, vol = gbm.log_increment(delta)
         for i in range(time_grid.n_steps - 1, -1, -1):
-            z = config.seed.stream(i).standard_normal(config.samples_per_node)
-            cont = _expected_positive_part(C, drift + vol * z, grid.log_step)
+            cont = draws[i].expected_positive_part(C)
             running = delta * (p - levels * math.exp(gbm.mu * remaining[i]))
             C = cont + running
             U[i] = np.maximum(0.0, C)
@@ -332,11 +420,12 @@ def solve_backward(
                 raise NumericError(f"non-finite values in slice t={times[i]}")
 
     G = np.empty_like(U)
-    V = np.empty_like(U)
     level_list = levels.tolist()
     for i, t in enumerate(times.tolist()):
-        G[i] = [immediate_value(plant, gbm, t, y) for y in level_list]
-        V[i] = plant.emission_rate * U[i] + G[i]
+        row = map(immediate_value, repeat(plant), repeat(gbm), repeat(t), level_list)
+        G[i] = np.fromiter(row, float, len(level_list))
+    V = plant.emission_rate * U
+    V += G
     return ValueGrid(time_grid=time_grid, price_grid=grid, U=U, G=G, V=V)
 
 
@@ -372,10 +461,11 @@ def solve_boundary(
     plant: PlantParams,
     config: SolverConfig | None = None,
     time_grid: TimeGrid | None = None,
+    draws: SliceDraws | None = None,
 ) -> tuple[ValueGrid, Boundary]:
     """Convenience wrapper: solve the lattice and extract the raw boundary."""
     config = config or SolverConfig()
-    grid = solve_backward(gbm, plant, time_grid, config)
+    grid = solve_backward(gbm, plant, time_grid, config, draws)
     return grid, extract_boundary(grid, config, gbm, plant)
 
 

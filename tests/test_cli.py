@@ -488,6 +488,9 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
         ("monitor", ("monitor",), "columns", {"date": None}),
         ("solve", ("gbm",), "sigma", 1e100),
         ("surface", ("gbm",), "sigma", 1e100),
+        ("solve", ("gbm",), "y0", 1e308),
+        ("surface", ("gbm",), "y0", 1e308),
+        ("solve", ("plant",), "P", 1e308),
     ],
     ids=["gbm.y0-text", "plant.M-text", "plant.M-null", "upgrade.day-text",
          "surface.T-text", "solver-text", "solver-null", "solver-list",
@@ -501,7 +504,8 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
          "estimate.columns-list", "estimate.columns-unknown-key",
          "estimate.columns-number-header", "monitor.columns-number",
          "monitor.columns-list", "monitor.columns-null-header",
-         "solve-gbm.sigma-1e100", "surface-gbm.sigma-1e100"],
+         "solve-gbm.sigma-1e100", "surface-gbm.sigma-1e100",
+         "solve-gbm.y0-1e308", "surface-gbm.y0-1e308", "solve-plant.P-1e308"],
 )
 def test_bad_config_value_exits_2(runner, tmp_path, command, path, key, value):
     config = write_config(tmp_path, set_field(command, path, key, value))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import carbonstop.solver as solver
 from carbonstop import (
     ABOVE_GRID,
     FOUND,
@@ -16,6 +17,7 @@ from carbonstop import (
     Seed,
     SolverConfig,
     SurfaceGrid,
+    TimeGrid,
     Upgrade,
     apply_upgrade,
     default_price_grid,
@@ -292,3 +294,40 @@ def test_upgrade_equals_independent_solves_on_its_grid(request, table):
         _, want = solve_boundary(gbm, pl, solo)
         assert np.array_equal(bits(got.values), bits(want.values))
         assert np.array_equal(bits(got.lower_bounds), bits(want.lower_bounds))
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The index tuples of every `Seed.stream` call."""
+    calls = []
+    stream = Seed.stream
+
+    def counting(seed, *indices):
+        calls.append(indices)
+        return stream(seed, *indices)
+
+    monkeypatch.setattr(Seed, "stream", counting)
+    return calls
+
+
+def test_surface_draws_each_slice_once_within_the_cap(monkeypatch, streams):
+    gbm, horizon, p_values = CRITERION_7
+    config = SolverConfig(samples_per_node=1000, seed=Seed(42))
+    plants = [PlantParams(1.0, float(p), horizon) for p in p_values]
+    solo = solo_config(gbm, plants, config)
+    draws = solver.SliceDraws(gbm, solo, solo.price_grid, TimeGrid(horizon), shared=True)
+    n_steps = int(horizon)
+    all_slices = sum(draws[i].nbytes for i in range(n_steps))
+
+    streams.clear()
+    reference = surface(gbm, horizon, p_values, config).B
+    assert len(streams) == n_steps  # the default cap keeps every slice
+    for cap in (0, all_slices // 2):
+        monkeypatch.setattr(solver, "SHARED_DRAW_BYTES", cap)
+        streams.clear()
+        B = surface(gbm, horizon, p_values, config).B
+        assert np.array_equal(bits(B), bits(reference))
+        if cap == 0:
+            assert len(streams) == n_steps * len(plants)
+        else:
+            assert n_steps < len(streams) < n_steps * len(plants)

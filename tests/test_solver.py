@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,8 +33,9 @@ from carbonstop import (
 from carbonstop.solver import (
     MAX_GRID_SIZE,
     MAX_SAMPLES,
-    _expected_positive_part,
+    SliceDraws,
     _pava,
+    _Stencil,
     stop_tolerance,
 )
 
@@ -129,6 +132,30 @@ def test_default_grid_floor_does_not_bind_on_table1():
     )
     cell = grid.price_grid.cell_width_at(int(np.searchsorted(levels, base.values[0])))
     assert abs(extended.values[0] - base.values[0]) <= cell
+
+
+@pytest.mark.parametrize(
+    "gbm, plant",
+    [
+        (GbmParams(1e308, -0.0020, 0.0603), PlantParams(0.014, 14.7, 20)),
+        (GbmParams(21.43, -0.0020, 0.0603), PlantParams(0.014, 1e308, 20)),
+        # P*exp(-mu*T) = 1e200 * e^350 overflows, though e^350 alone does not
+        (GbmParams(21.43, -0.5, 0.0603), PlantParams(0.014, 1e200, 700)),
+    ],
+    ids=["y0", "P", "drift-growth"],
+)
+def test_default_grid_ceiling_overflow_is_a_config_error(gbm, plant):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="y0=.*P=.*drift growth"):
+            default_price_grid(gbm, plant)
+        with pytest.raises(ConfigError, match="ceiling"):
+            solve_boundary(gbm, plant, SolverConfig(samples_per_node=100))
+        with pytest.raises(ConfigError, match="ceiling"):
+            surface(gbm, plant.horizon, [1.0, plant.unit_profit])
+    # Just below the largest float the default grid is still built.
+    near = GbmParams(5e307, -0.0020, 0.0603)
+    assert default_price_grid(near, PlantParams(0.014, 14.7, 20)).levels[-1] == 1.5e308
 
 
 @pytest.mark.parametrize("sigma", [2.26, 3.0, 1e100])
@@ -449,9 +476,45 @@ def operator_cases(draw):
 @given(case=operator_cases())
 def test_stencil_operator_matches_interp(case):
     levels, log_factors, C = case
-    got = _expected_positive_part(C, log_factors, PriceGrid(levels).log_step)
+    stencil = _Stencil.build(log_factors, PriceGrid(levels).log_step, len(levels))
+    got = stencil.expected_positive_part(C)
     want = interp_expectation(C, log_factors, levels)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(C).max()
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=operator_cases(), scales=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+def test_one_stencil_applies_to_many_continuations(case, scales):
+    # A stencil built once and applied to several C gives, for each, the
+    # bits of a stencil built afresh for that C alone.
+    levels, log_factors, C = case
+    log_step, n = PriceGrid(levels).log_step, len(levels)
+    kept = _Stencil.build(log_factors, log_step, n)
+    for scale in [1.0, *scales]:
+        shifted = C * scale + np.roll(C, 1)
+        fresh = _Stencil.build(log_factors, log_step, n).expected_positive_part(shifted)
+        assert np.array_equal(kept.expected_positive_part(shifted), fresh)
+
+
+def test_slice_draws_for_other_inputs_are_refused():
+    gbm, plant, config = small_case()
+    time_grid = TimeGrid(plant.horizon)
+    grid = config.resolve_grid(gbm, plant)
+    solve_backward(gbm, plant, time_grid, config, SliceDraws(gbm, config, grid, time_grid))
+    others = {
+        "seed": (gbm, replace(config, seed=Seed(config.seed.value + 1)), grid, time_grid),
+        "samples": (gbm, replace(config, samples_per_node=config.samples_per_node + 1),
+                    grid, time_grid),
+        "grid step": (gbm, config, geometric_price_grid(1.0, 100.0, config.grid_size),
+                      time_grid),
+        "grid size": (gbm, config, geometric_price_grid(1.0, 100.0, 2 * config.grid_size),
+                   time_grid),
+        "sigma": (GbmParams(gbm.y0, gbm.mu, 2 * gbm.sigma), config, grid, time_grid),
+        "time step": (gbm, config, grid, TimeGrid(plant.horizon, 0.5)),
+    }
+    for name, args in others.items():
+        with pytest.raises(ConfigError, match="slice draws"):
+            solve_backward(gbm, plant, time_grid, config, SliceDraws(*args))
 
 
 # --- solver invariants on small lattices ------------------------------------
