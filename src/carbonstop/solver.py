@@ -30,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,8 +252,7 @@ class Boundary:
                 writer.writerow([f"{t:.6g}", b_txt, s, f"{lb:.6g}"])
 
 
-@dataclass(frozen=True)
-class _Stencil:
+class _Stencil(NamedTuple):
     """One slice's draws binned on a log-uniform grid of n levels.
 
     Draw k has offset m = floor(log xi / h) and upper weight w = (r**f -
@@ -301,7 +301,7 @@ class _Stencil:
         # blend of C) by min(w |C[i+1]|, (1 - w) |C[i]|); level j reaches
         # cell i at offset i - j.
         w = self.w
-        for i in np.flatnonzero(C[:-1] * C[1:] < 0):
+        for i in (C[:-1] * C[1:] < 0).nonzero()[0]:
             excess = np.minimum(w * abs(C[i + 1]), (1.0 - w) * abs(C[i]))
             j = i - lo - np.arange(width - 1)
             inside = (j >= 0) & (j < n)
