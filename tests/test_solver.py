@@ -508,11 +508,11 @@ def test_slice_draws_for_other_inputs_are_refused():
         "grid step": (gbm, config, geometric_price_grid(1.0, 100.0, config.grid_size),
                       time_grid),
         "grid size": (gbm, config, geometric_price_grid(1.0, 100.0, 2 * config.grid_size),
-                   time_grid),
+                      time_grid),
         "sigma": (GbmParams(gbm.y0, gbm.mu, 2 * gbm.sigma), config, grid, time_grid),
         "time step": (gbm, config, grid, TimeGrid(plant.horizon, 0.5)),
     }
-    for name, args in others.items():
+    for args in others.values():
         with pytest.raises(ConfigError, match="slice draws"):
             solve_backward(gbm, plant, time_grid, config, SliceDraws(*args))
 
