@@ -169,8 +169,8 @@ def config_text(block: dict, key: str, section: str) -> str:
 
 
 def _columns(block: dict, section: str) -> dict | None:
-    """`block["columns"]`, checked to map some of date/price/volume to
-    header names; absent or null means the default headers."""
+    """`block["columns"]`, checked to map date and/or price to header
+    names; absent or null means the default headers."""
     columns = block.get("columns")
     if columns is None:
         return None
@@ -182,7 +182,7 @@ def _columns(block: dict, section: str) -> dict | None:
     for key, header in columns.items():
         if key not in DEFAULT_COLUMNS:
             raise ConfigError(
-                f"unknown key '{key}' in {name}; expected date, price or volume"
+                f"unknown key '{key}' in {name}; expected date or price"
             )
         if not isinstance(header, str):
             raise ConfigError(
@@ -332,13 +332,12 @@ def main():
 @click.argument("csv_path", type=str)
 @click.option("--date-column", default=DEFAULT_COLUMNS["date"], show_default=True)
 @click.option("--price-column", default=DEFAULT_COLUMNS["price"], show_default=True)
-@click.option("--volume-column", default=DEFAULT_COLUMNS["volume"], show_default=True)
 @click.option("--start", default=None, help="Window start (YYYY-MM-DD, inclusive).")
 @click.option("--end", default=None, help="Window end (YYYY-MM-DD, exclusive).")
 @handle_errors
-def estimate(csv_path, date_column, price_column, volume_column, start, end):
+def estimate(csv_path, date_column, price_column, start, end):
     """Estimate daily GBM drift/volatility from a price CSV."""
-    columns = {"date": date_column, "price": price_column, "volume": volume_column}
+    columns = {"date": date_column, "price": price_column}
     _, est = _estimate(csv_path, columns, start, end, ("--start", "--end"))
     click.echo(json.dumps(est.to_dict(), indent=2, sort_keys=True))
 

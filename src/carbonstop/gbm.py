@@ -72,7 +72,6 @@ class Seed:
 class PathGrid:
     """A sampled price path on a uniform time grid."""
 
-    dt: float
     values: np.ndarray  # length steps + 1, all positive
 
 
@@ -99,7 +98,7 @@ def simulate_path(
     mean, sd = params.log_increment(dt)
     increments = mean + sd * z
     log_path = math.log(params.y0) + np.concatenate([[0.0], np.cumsum(increments)])
-    return PathGrid(dt=dt, values=np.exp(log_path))
+    return PathGrid(values=np.exp(log_path))
 
 
 def expected_price(params: GbmParams, t: float) -> float:

@@ -10,32 +10,29 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 
 import numpy as np
 
 from .errors import DataError
 
-DEFAULT_COLUMNS = {"date": "date", "price": "close", "volume": "volume"}
+DEFAULT_COLUMNS = {"date": "date", "price": "close"}
 
 
 @dataclass(frozen=True)
 class PriceSeries:
     """Dated daily allowance quotations.
 
-    Dates must be strictly increasing and prices strictly positive.  Rows
-    with zero traded volume are retained; `zero_volume_indices` flags them.
+    Dates must be strictly increasing and prices strictly positive.
     """
 
     dates: tuple[date, ...]
     prices: tuple[float, ...]
-    volumes: tuple[float, ...]
-    label: str = ""
 
     def __post_init__(self):
-        if not (len(self.dates) == len(self.prices) == len(self.volumes)):
-            raise DataError("dates, prices and volumes must have equal length")
+        if len(self.dates) != len(self.prices):
+            raise DataError("dates and prices must have equal length")
         for i in range(1, len(self.dates)):
             if self.dates[i] <= self.dates[i - 1]:
                 raise DataError(
@@ -44,16 +41,9 @@ class PriceSeries:
         for i, p in enumerate(self.prices):
             if not (0 < p < math.inf):
                 raise DataError(f"non-positive or non-finite price {p} at row {i}")
-        for i, v in enumerate(self.volumes):
-            if v < 0:
-                raise DataError(f"negative volume {v} at row {i}")
 
     def __len__(self) -> int:
         return len(self.prices)
-
-    @property
-    def zero_volume_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.volumes) if v == 0)
 
 
 @dataclass(frozen=True)
@@ -85,16 +75,12 @@ def _parse_date(text: str, line_no: int) -> date:
         raise DataError(f"line {line_no}: unparseable date {text!r}") from exc
 
 
-def load_price_csv(
-    path,
-    columns: dict[str, str] | None = None,
-    label: str = "",
-) -> PriceSeries:
+def load_price_csv(path, columns: dict[str, str] | None = None) -> PriceSeries:
     """Load a PriceSeries from a headered CSV file.
 
-    `columns` maps the logical names {"date", "price", "volume"} to the
-    file's header names; defaults to date/close/volume.  Dates must be
-    ISO-8601 (YYYY-MM-DD).  A missing volume column is treated as all-zero.
+    `columns` maps the logical names {"date", "price"} to the file's header
+    names; defaults to date/close.  Dates must be ISO-8601 (YYYY-MM-DD).
+    Other columns are ignored.
     """
     mapping = dict(DEFAULT_COLUMNS)
     if columns:
@@ -107,7 +93,6 @@ def load_price_csv(
 
     dates: list[date] = []
     prices: list[float] = []
-    volumes: list[float] = []
     with handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
@@ -116,7 +101,6 @@ def load_price_csv(
                 raise DataError(
                     f"missing column {mapping[logical]!r} (for {logical}) in {path}"
                 )
-        has_volume = mapping["volume"] in header
         for row in reader:
             line_no = reader.line_num
             dates.append(_parse_date(row[mapping["date"]], line_no))
@@ -126,18 +110,8 @@ def load_price_csv(
                 raise DataError(
                     f"line {line_no}: unparseable price {row[mapping['price']]!r}"
                 ) from exc
-            if has_volume:
-                try:
-                    volumes.append(float(row[mapping["volume"]]))
-                except (TypeError, ValueError) as exc:
-                    raise DataError(
-                        f"line {line_no}: unparseable volume "
-                        f"{row[mapping['volume']]!r}"
-                    ) from exc
-            else:
-                volumes.append(0.0)
 
-    return PriceSeries(tuple(dates), tuple(prices), tuple(volumes), label=label)
+    return PriceSeries(tuple(dates), tuple(prices))
 
 
 def log_returns(series: PriceSeries) -> ReturnSeries:
@@ -177,12 +151,5 @@ def split_at(series: PriceSeries, cutoff: date) -> tuple[PriceSeries, PriceSerie
             f"[{series.dates[0]}, {series.dates[-1]}]"
         )
     k = sum(1 for d in series.dates if d < cutoff)
-    head = _slice(series, 0, k, f"{series.label}[:{cutoff}]")
-    tail = _slice(series, k, len(series), f"{series.label}[{cutoff}:]")
-    return head, tail
-
-
-def _slice(series: PriceSeries, lo: int, hi: int, label: str) -> PriceSeries:
-    return PriceSeries(
-        series.dates[lo:hi], series.prices[lo:hi], series.volumes[lo:hi], label=label
-    )
+    dates, prices = series.dates, series.prices
+    return PriceSeries(dates[:k], prices[:k]), PriceSeries(dates[k:], prices[k:])

@@ -46,8 +46,8 @@ DEFAULT_SAMPLES = 2000
 DEFAULT_GRID_SIZE = 200
 DEFAULT_TOL_SCALE = 1e-6
 # A slice holds a few float arrays of `samples` and of `grid + 1` entries,
-# so these caps bound its memory at tens of MB; the lattice itself is three
-# (horizon/delta + 1) x (grid + 1) arrays (U, G, V).  A shared-grid drive
+# so these caps bound its memory at tens of MB; the lattice itself is two
+# (horizon/delta + 1) x (grid + 1) arrays (U, G).  A shared-grid drive
 # also keeps its built slices, about 9 bytes per sample each, up to
 # SHARED_DRAW_BYTES; a standalone solve keeps none across slices.
 MAX_SAMPLES = 10**6
@@ -202,7 +202,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """U, G and V = M*U + G on the time x price lattice.
+    """U and G on the time x price lattice; V = M*U + G is derived.
 
     G[i, j] is `immediate_value` at (t_i, y_j), one call per node on Python
     floats; the benchmark counts those calls until G becomes a closed-form
@@ -211,9 +211,14 @@ class ValueGrid:
 
     time_grid: TimeGrid
     price_grid: PriceGrid
+    emission_rate: float
     U: np.ndarray  # shape (n_times, n_levels)
     G: np.ndarray
-    V: np.ndarray
+
+    @property
+    def V(self) -> np.ndarray:
+        """The option value M*U + G, formed on each read."""
+        return self.emission_rate * self.U + self.G
 
 
 @dataclass(frozen=True)
@@ -297,11 +302,13 @@ class _Stencil(NamedTuple):
         left, right = max(0, -lo), max(0, lo + width - 1)
         padded = np.concatenate([np.full(left, pos[0]), pos, np.full(right, pos[-1])])
         total = np.correlate(padded, self.weights, "valid")[lo + left : lo + left + n]
-        # In a cell with C[i] * C[i+1] < 0 the blend of C+ exceeds max(0,
-        # blend of C) by min(w |C[i+1]|, (1 - w) |C[i]|); level j reaches
-        # cell i at offset i - j.
+        # In a cell where C changes sign the blend of C+ exceeds max(0, blend
+        # of C) by min(w |C[i+1]|, (1 - w) |C[i]|); level j reaches cell i at
+        # offset i - j.  The signs are compared, not C[i] * C[i+1], which
+        # overflows for |C| above about 1e154.
         w = self.w
-        for i in (C[:-1] * C[1:] < 0).nonzero()[0]:
+        sign = np.sign(C)
+        for i in (sign[:-1] * sign[1:] < 0).nonzero()[0]:
             excess = np.minimum(w * abs(C[i + 1]), (1.0 - w) * abs(C[i]))
             j = i - lo - np.arange(width - 1)
             inside = (j >= 0) & (j < n)
@@ -424,9 +431,7 @@ def solve_backward(
     for i, t in enumerate(times.tolist()):
         row = map(immediate_value, repeat(plant), repeat(gbm), repeat(t), level_list)
         G[i] = np.fromiter(row, float, len(level_list))
-    V = plant.emission_rate * U
-    V += G
-    return ValueGrid(time_grid=time_grid, price_grid=grid, U=U, G=G, V=V)
+    return ValueGrid(time_grid, grid, plant.emission_rate, U, G)
 
 
 def stop_tolerance(plant: PlantParams, config: SolverConfig) -> float:
@@ -486,7 +491,10 @@ def value_at(grid: ValueGrid, t: float, y: float) -> tuple[float, float, float]:
     levels = grid.price_grid.levels
     if not (levels[0] <= y <= levels[-1]):
         raise NumericError(f"y={y} outside price grid [{levels[0]}, {levels[-1]}]")
-    return tuple(float(np.interp(y, levels, a[i])) for a in (grid.U, grid.V, grid.G))
+    u, g = grid.U[i], grid.G[i]
+    return tuple(
+        float(np.interp(y, levels, a)) for a in (u, grid.emission_rate * u + g, g)
+    )
 
 
 def smooth_boundary(boundary: Boundary, method: str = "none") -> Boundary:

@@ -483,6 +483,7 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
         ("solve", ("estimate",), "columns", ["a"]),
         ("solve", ("estimate",), "columns", {"close": "price"}),
         ("solve", ("estimate",), "columns", {"price": 3}),
+        ("solve", ("estimate",), "columns", {"volume": "qty"}),
         ("monitor", ("monitor",), "columns", 5),
         ("monitor", ("monitor",), "columns", ["a"]),
         ("monitor", ("monitor",), "columns", {"date": None}),
@@ -502,7 +503,8 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
          "plant.Q-unknown", "upgrade.dday-unknown", "surface.p_stpe-unknown",
          "survival_query.z-unknown", "solvr-unknown", "estimate.columns-number",
          "estimate.columns-list", "estimate.columns-unknown-key",
-         "estimate.columns-number-header", "monitor.columns-number",
+         "estimate.columns-number-header", "estimate.columns-volume",
+         "monitor.columns-number",
          "monitor.columns-list", "monitor.columns-null-header",
          "solve-gbm.sigma-1e100", "surface-gbm.sigma-1e100",
          "solve-gbm.y0-1e308", "surface-gbm.y0-1e308", "solve-plant.P-1e308"],

@@ -39,14 +39,14 @@ pytestmark = pytest.mark.skipif(
 
 
 def test_sza_estimate_matches_published_parameters():
-    series = load_price_csv(SZA, label="sza")
+    series = load_price_csv(SZA)
     est = estimate_gbm(log_returns(series))
     assert est.mu == pytest.approx(-0.0020, abs=2e-4)
     assert est.sigma == pytest.approx(0.0603, rel=0.05)
 
 
 def test_sza_halt_signal_day_96():
-    series = load_price_csv(SZA, label="sza")
+    series = load_price_csv(SZA)
     est = estimate_gbm(log_returns(series))
     gbm = GbmParams(y0=series.prices[0], mu=est.mu, sigma=est.sigma)
     plant = PlantParams(0.014, 14.7, 246)

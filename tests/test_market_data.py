@@ -34,34 +34,20 @@ def basic_csv(tmp_path):
 
 
 def test_load_basic(basic_csv):
-    series = load_price_csv(basic_csv, label="sza")
+    series = load_price_csv(basic_csv)
     assert len(series) == 4
     assert series.dates[0] == date(2020, 1, 2)
     assert series.prices == (20.0, 21.0, 20.5, 22.0)
-    assert series.label == "sza"
-    assert series.zero_volume_indices == (1,)
 
 
 def test_load_custom_columns(tmp_path):
     path = write_csv(
         tmp_path / "odd.csv",
-        ["2021-03-01,9.5,3", "2021-03-02,9.9,4"],
+        ["2021-03-01,9.5,3", "2021-03-02,9.9,n/a"],  # qty is not read
         header="day,px,qty",
     )
-    series = load_price_csv(
-        path, columns={"date": "day", "price": "px", "volume": "qty"}
-    )
+    series = load_price_csv(path, columns={"date": "day", "price": "px"})
     assert series.prices == (9.5, 9.9)
-    assert series.volumes == (3.0, 4.0)
-
-
-def test_load_missing_volume_column(tmp_path):
-    path = write_csv(
-        tmp_path / "nv.csv", ["2021-03-01,9.5", "2021-03-02,9.9"], header="date,close"
-    )
-    series = load_price_csv(path)
-    assert series.volumes == (0.0, 0.0)
-    assert series.zero_volume_indices == (0, 1)
 
 
 def test_load_missing_required_column(tmp_path):
@@ -91,28 +77,25 @@ def test_load_missing_file():
 
 def test_series_rejects_non_monotone_dates():
     with pytest.raises(DataError, match="non-monotone"):
-        PriceSeries(
-            (date(2020, 1, 2), date(2020, 1, 2)), (1.0, 2.0), (0.0, 0.0)
-        )
+        PriceSeries((date(2020, 1, 2), date(2020, 1, 2)), (1.0, 2.0))
 
 
 def test_series_rejects_non_positive_price():
     with pytest.raises(DataError, match="non-positive"):
-        PriceSeries((date(2020, 1, 2),), (0.0,), (0.0,))
+        PriceSeries((date(2020, 1, 2),), (0.0,))
     with pytest.raises(DataError, match="non-finite"):
-        PriceSeries((date(2020, 1, 2),), (math.inf,), (0.0,))
+        PriceSeries((date(2020, 1, 2),), (math.inf,))
 
 
 def test_series_rejects_length_mismatch():
     with pytest.raises(DataError, match="equal length"):
-        PriceSeries((date(2020, 1, 2),), (1.0, 2.0), (0.0,))
+        PriceSeries((date(2020, 1, 2),), (1.0, 2.0))
 
 
 def test_log_returns():
     series = PriceSeries(
         (date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3)),
         (10.0, 20.0, 10.0),
-        (0.0, 0.0, 0.0),
     )
     r = log_returns(series)
     assert len(r) == 2
@@ -121,7 +104,7 @@ def test_log_returns():
 
 
 def test_log_returns_needs_two_prices():
-    series = PriceSeries((date(2020, 1, 1),), (10.0,), (0.0,))
+    series = PriceSeries((date(2020, 1, 1),), (10.0,))
     with pytest.raises(DataError):
         log_returns(series)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -156,6 +157,16 @@ def test_default_grid_ceiling_overflow_is_a_config_error(gbm, plant):
     # Just below the largest float the default grid is still built.
     near = GbmParams(5e307, -0.0020, 0.0603)
     assert default_price_grid(near, PlantParams(0.014, 14.7, 20)).levels[-1] == 1.5e308
+
+
+def test_solve_near_the_float_ceiling_raises_no_warning():
+    # Continuation values near -1e308: their product overflowed when the
+    # sign-change cells were found by multiplying neighbours.
+    gbm = GbmParams(5e307, -0.0020, 0.0603)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, boundary = solve_boundary(gbm, PlantParams(0.014, 14.7, 20))
+    assert boundary.found_mask().all()
 
 
 @pytest.mark.parametrize("sigma", [2.26, 3.0, 1e100])
@@ -388,6 +399,20 @@ def test_value_grid_matches_per_node_calls(sigma):
     assert np.array_equal(bits(boundary.lower_bounds), bits(lbs))
 
 
+def test_solve_keeps_about_one_lattice_beside_its_result():
+    # The result holds U and G and derives V; a third stored lattice would
+    # put the peak near three times U.
+    gbm = GbmParams(21.43, -0.0020, 0.0603)
+    plant = PlantParams(0.014, 14.7, 246)
+    tracemalloc.start()
+    try:
+        grid = solve_backward(gbm, plant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * grid.U.nbytes
+
+
 # --- value queries and smoothing -----------------------------------------
 
 
@@ -574,3 +599,28 @@ def test_zero_vol_solve_matches_closed_form(case):
     for b, lb in zip(boundary.values, boundary.lower_bounds):
         j = int(np.searchsorted(levels, b))
         assert abs(b - lb) <= grid.price_grid.cell_width_at(j)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    case=small_solves(),
+    cells=st.integers(20, 200),
+    samples=st.integers(100, 1000),
+    k=st.integers(1, 9),
+)
+def test_boundary_shifts_k_cells_when_p_scales_by_r_to_the_k(case, cells, samples, k):
+    # The recursion is homogeneous of degree 1 in (y, P), so on one
+    # log-uniform grid with ratio r and common draws the plant with P*r**k
+    # stops exactly k levels above the plant with P.
+    gbm, plant, config = case
+    base = default_price_grid(gbm, plant, cells)
+    r = math.exp(base.log_step)
+    grid = PriceGrid(base.levels[0] * r ** np.arange(cells + k + 1))
+    config = replace(config, samples_per_node=samples, price_grid=grid)
+    scaled = PlantParams(plant.emission_rate, plant.unit_profit * r**k, plant.horizon)
+    _, low = solve_boundary(gbm, plant, config)
+    _, high = solve_boundary(gbm, scaled, config)
+    found = low.found_mask()
+    assert np.array_equal(high.found_mask(), found)
+    index = np.searchsorted(grid.levels, low.values[found])
+    assert np.array_equal(np.searchsorted(grid.levels, high.values[found]), index + k)
