@@ -1,12 +1,11 @@
 """Optimal production-halt boundaries under stochastic carbon allowance prices."""
 
 from .errors import CarbonStopError, ConfigError, DataError, NumericError
-from .gbm import GbmParams, PathGrid, Seed, exact_step, expected_price, simulate_path
+from .gbm import GbmParams, Seed, simulate_path
 from .lattice import LatticeSpec, TreeSolution, enumerate_policies, tree_solve
 from .market_data import (
     GbmEstimate,
     PriceSeries,
-    ReturnSeries,
     estimate_gbm,
     load_price_csv,
     log_returns,

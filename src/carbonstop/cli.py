@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -339,7 +339,7 @@ def estimate(csv_path, date_column, price_column, start, end):
     """Estimate daily GBM drift/volatility from a price CSV."""
     columns = {"date": date_column, "price": price_column}
     _, est = _estimate(csv_path, columns, start, end, ("--start", "--end"))
-    click.echo(json.dumps(est.to_dict(), indent=2, sort_keys=True))
+    click.echo(json.dumps(asdict(est), indent=2, sort_keys=True))
 
 
 @main.command()
@@ -373,12 +373,14 @@ def monitor_cmd(config_path, seed, out_dir, samples, grid):
         prices = load_price_csv(path, columns=columns).prices
     elif "prices" in block:
         prices = block["prices"]
+        if not isinstance(prices, list) or {type(p) for p in prices} - {int, float}:
+            raise DataError("monitor.prices must be a flat list of numbers")
     else:
         raise ConfigError("monitor config needs 'prices_csv' or 'prices'")
 
     _, boundary = solve_boundary(gbm, plant, solver_config)
     report = monitor(boundary, prices)
-    _write_outputs(out_dir, {"monitor.json": _json_writer(report.to_dict())})
+    _write_outputs(out_dir, {"monitor.json": _json_writer(asdict(report))})
 
 
 @main.command("upgrade")
@@ -438,6 +440,8 @@ def surface_cmd(config_path, seed, out_dir, samples, grid):
         query = _section(block, "survival_query", ("t", "y"))
         t, y = (config_number(query, key, "survival_query") for key in ("t", "y"))
         time_index(TimeGrid(horizon).times, t)
+        if y <= 0:
+            raise ConfigError(f"survival_query.y must be positive, got {y}")
 
     surf, elapsed = _timed(lambda: surface(gbm, horizon, p_values, solver_config))
     summary = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -68,27 +68,10 @@ class Seed:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass(frozen=True)
-class PathGrid:
-    """A sampled price path on a uniform time grid."""
-
-    values: np.ndarray  # length steps + 1, all positive
-
-
-def exact_step(y: float, params: GbmParams, dt: float, z: float) -> float:
-    """One exact GBM transition: y * exp((mu - sigma^2/2) dt + sigma sqrt(dt) z)."""
-    if not (y > 0):
-        raise NumericError(f"price must be positive, got {y}")
-    if not (dt > 0):
-        raise NumericError(f"dt must be positive, got {dt}")
-    mean, sd = params.log_increment(dt)
-    return y * math.exp(mean + sd * z)
-
-
 def simulate_path(
     params: GbmParams, steps: int, dt: float = 1.0, seed: Seed = Seed(0)
-) -> PathGrid:
-    """Simulate a path of `steps` exact GBM transitions from y0.
+) -> np.ndarray:
+    """Prices y0, Y_dt, ..., Y_{steps*dt} of `steps` exact GBM transitions.
 
     The same (params, steps, dt, seed) always yields the identical path.
     """
@@ -98,11 +81,4 @@ def simulate_path(
     mean, sd = params.log_increment(dt)
     increments = mean + sd * z
     log_path = math.log(params.y0) + np.concatenate([[0.0], np.cumsum(increments)])
-    return PathGrid(values=np.exp(log_path))
-
-
-def expected_price(params: GbmParams, t: float) -> float:
-    """E[Y_t] = y0 * exp(mu * t)."""
-    if t < 0:
-        raise ConfigError(f"t must be nonnegative, got {t}")
-    return params.y0 * math.exp(params.mu * t)
+    return np.exp(log_path)

@@ -47,7 +47,6 @@ class LatticeSpec:
 class TreeSolution:
     """Exact backward induction results on the lattice."""
 
-    spec: LatticeSpec
     root_premium: float  # U(0, y0)
     root_value: float  # V(0, y0) = M * U + G
     premiums: tuple[tuple[float, ...], ...]  # U per step, per node (ascending y)
@@ -114,7 +113,6 @@ def tree_solve(
     root_u = premiums[0][0]
     root_v = plant.emission_rate * root_u + _gain(plant, q, n, 0, 0.0, gbm.y0)
     return TreeSolution(
-        spec=spec,
         root_premium=root_u,
         root_value=root_v,
         premiums=tuple(premiums),

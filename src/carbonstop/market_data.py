@@ -47,16 +47,6 @@ class PriceSeries:
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
-    """Daily log returns r_i = ln(Y_i) - ln(Y_{i-1})."""
-
-    returns: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.returns)
-
-
-@dataclass(frozen=True)
 class GbmEstimate:
     """Per-trading-day drift/volatility estimate from historical returns."""
 
@@ -64,14 +54,11 @@ class GbmEstimate:
     sigma: float
     sample_count: int
 
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "sigma": self.sigma, "sample_count": self.sample_count}
 
-
-def _parse_date(text: str, line_no: int) -> date:
+def _parse_date(text: str | None, line_no: int) -> date:
     try:
         return datetime.strptime(text.strip(), "%Y-%m-%d").date()
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:  # None: the row ends before it
         raise DataError(f"line {line_no}: unparseable date {text!r}") from exc
 
 
@@ -114,24 +101,24 @@ def load_price_csv(path, columns: dict[str, str] | None = None) -> PriceSeries:
     return PriceSeries(tuple(dates), tuple(prices))
 
 
-def log_returns(series: PriceSeries) -> ReturnSeries:
-    """Daily log returns of a price series (length n-1)."""
+def log_returns(series: PriceSeries) -> np.ndarray:
+    """Daily log returns r_i = ln(Y_i) - ln(Y_{i-1}) (length n-1)."""
     if len(series) < 2:
         raise DataError("need at least 2 prices to compute returns")
-    logs = np.log(np.asarray(series.prices))
-    return ReturnSeries(tuple(np.diff(logs).tolist()))
+    return np.diff(np.log(np.asarray(series.prices)))
 
 
-def estimate_gbm(returns: ReturnSeries) -> GbmEstimate:
+def estimate_gbm(returns) -> GbmEstimate:
     """Historical drift/volatility estimators.
 
     mu is the sample mean of the log returns and sigma the sample standard
-    deviation with an n-1 denominator, both per trading day.
+    deviation with an n-1 denominator, both per trading day, of any
+    sequence of returns.
     """
-    n = len(returns)
+    r = np.asarray(returns, dtype=float)
+    n = len(r)
     if n < 2:
         raise DataError("need at least 2 returns to estimate sigma")
-    r = np.asarray(returns.returns)
     mu = float(r.mean())
     sigma = math.sqrt(float(np.sum((r - mu) ** 2)) / (n - 1))
     return GbmEstimate(mu=mu, sigma=sigma, sample_count=n)

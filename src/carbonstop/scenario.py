@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .gbm import GbmParams
-from .market_data import PriceSeries
 from .plant import PlantParams, Upgrade
 from .solver import (
     Boundary,
@@ -41,27 +40,17 @@ class MonitorReport:
     crossing_price: float | None = None
     boundary_at_crossing: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "crossed": self.crossed,
-            "crossing_index": self.crossing_index,
-            "crossing_price": self.crossing_price,
-            "boundary_at_crossing": self.boundary_at_crossing,
-        }
-
 
 def monitor(boundary: Boundary, prices) -> MonitorReport:
     """First trading day whose price reaches the boundary (touch counts).
 
-    `prices` is a PriceSeries or plain sequence aligned by position with the
-    boundary's time grid, index 0 = t_0.  ABOVE_GRID boundary entries can
-    never be crossed.  Every price must be a positive finite number.
+    `prices` is a sequence aligned by position with the boundary's time
+    grid, index 0 = t_0.  ABOVE_GRID boundary entries can never be crossed.
+    Every price must be a positive finite number.
     """
-    if isinstance(prices, PriceSeries):
-        prices = prices.prices
     try:
         values = np.asarray(prices, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"prices must be numbers: {exc}") from exc
     bad = ~(np.isfinite(values) & (values > 0))
     if bad.any():
@@ -105,7 +94,7 @@ def _solve_shared(
         config = replace(config, price_grid=grid)
     time_grid = TimeGrid(plants[0].horizon)
     draws = SliceDraws(gbm, config, config.price_grid, time_grid, shared=True)
-    return [solve_boundary(gbm, pl, config, time_grid, draws)[1] for pl in plants]
+    return [solve_boundary(gbm, pl, config, draws)[1] for pl in plants]
 
 
 def apply_upgrade(

@@ -465,12 +465,11 @@ def solve_boundary(
     gbm: GbmParams,
     plant: PlantParams,
     config: SolverConfig | None = None,
-    time_grid: TimeGrid | None = None,
     draws: SliceDraws | None = None,
 ) -> tuple[ValueGrid, Boundary]:
-    """Convenience wrapper: solve the lattice and extract the raw boundary."""
+    """Solve the lattice on the daily time grid and extract the raw boundary."""
     config = config or SolverConfig()
-    grid = solve_backward(gbm, plant, time_grid, config, draws)
+    grid = solve_backward(gbm, plant, config=config, draws=draws)
     return grid, extract_boundary(grid, config, gbm, plant)
 
 

@@ -118,6 +118,14 @@ def test_estimate_missing_file_exits_3(runner):
     assert "error:" in result.output
 
 
+def test_estimate_row_without_date_exits_3(runner, tmp_path):
+    csv_path = tmp_path / "prices.csv"
+    csv_path.write_text("close,date\n5.0,2020-01-02\n6.0\n")
+    result = runner.invoke(main, ["estimate", str(csv_path)])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert "line 3" in result.output
+
+
 # --- solve --------------------------------------------------------------------
 
 
@@ -341,6 +349,19 @@ def test_monitor_rejects_bad_prices_exits_3(runner, tmp_path):
     )
     assert result.exit_code == 3
     assert "positive and finite" in result.output
+
+
+@pytest.mark.parametrize(
+    "prices", [5, [[30, 40]], [True, 50], ["30", 40], [None]],
+    ids=["scalar", "nested", "bool", "string", "null"],
+)
+def test_monitor_rejects_prices_that_are_not_a_list_of_numbers(runner, tmp_path, prices):
+    payload = base_config()
+    payload["monitor"] = {"prices": prices}
+    config = write_config(tmp_path, payload)
+    result = runner.invoke(main, ["monitor", "--config", config, "--out", str(tmp_path)])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert "monitor.prices" in result.output
 
 
 def test_monitor_requires_prices(runner, tmp_path):
@@ -599,15 +620,20 @@ def test_survival_query_needs_y(runner, tmp_path):
 
 def test_survival_query_off_grid_exits_before_solving(runner, tmp_path, monkeypatch):
     def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep ran before survival_query.t was checked")
+        raise AssertionError("the sweep ran before survival_query was checked")
 
     monkeypatch.setattr(cli, "surface", no_sweep)
-    payload = surface_config()
-    payload["surface"]["survival_query"]["t"] = 0.5
-    config = write_config(tmp_path, payload)
-    result = runner.invoke(main, ["surface", "--config", config])
-    assert_config_error(result)
-    assert "t=0.5" in result.output
+    for query, message in (
+        ({"t": 0.5, "y": 1e-6}, "t=0.5"),
+        ({"t": 0, "y": 0}, "survival_query.y"),
+        ({"t": 0, "y": -5}, "survival_query.y"),
+    ):
+        payload = surface_config()
+        payload["surface"]["survival_query"] = query
+        config = write_config(tmp_path, payload)
+        result = runner.invoke(main, ["surface", "--config", config])
+        assert_config_error(result)
+        assert message in result.output
 
 
 @pytest.mark.parametrize("step", [0, -5, math.inf, math.nan])

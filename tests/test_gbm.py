@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carbonstop import (
-    ConfigError,
-    GbmParams,
-    NumericError,
-    Seed,
-    exact_step,
-    expected_price,
-    simulate_path,
-)
+from carbonstop import ConfigError, GbmParams, Seed, simulate_path
 
 
 def test_params_validation():
@@ -45,67 +37,41 @@ def test_seed_streams_are_deterministic_and_distinct():
     assert not np.array_equal(a, d)
 
 
-def test_exact_step_formula():
-    params = GbmParams(10.0, 0.01, 0.2)
-    y = exact_step(10.0, params, dt=2.0, z=0.5)
-    expected = 10.0 * math.exp((0.01 - 0.02) * 2.0 + 0.2 * math.sqrt(2.0) * 0.5)
-    assert y == pytest.approx(expected, rel=1e-15)
-
-
-def test_exact_step_zero_vol():
-    params = GbmParams(10.0, 0.03, 0.0)
-    assert exact_step(5.0, params, dt=1.0, z=123.0) == pytest.approx(
-        5.0 * math.exp(0.03)
-    )
-
-
-def test_exact_step_rejects_bad_inputs():
-    params = GbmParams(10.0, 0.0, 0.1)
-    with pytest.raises(NumericError):
-        exact_step(-1.0, params, 1.0, 0.0)
-    with pytest.raises(NumericError):
-        exact_step(1.0, params, 0.0, 0.0)
+def test_log_increment_formula():
+    mean, sd = GbmParams(10.0, 0.01, 0.2).log_increment(2.0)
+    assert mean == pytest.approx((0.01 - 0.02) * 2.0, rel=1e-15)
+    assert sd == pytest.approx(0.2 * math.sqrt(2.0), rel=1e-15)
+    assert GbmParams(10.0, 0.03, 0.0).log_increment(1.0) == (0.03, 0.0)
 
 
 def test_simulate_path_shape_and_determinism():
     params = GbmParams(20.0, 0.001, 0.05)
     p1 = simulate_path(params, steps=100, seed=Seed(11))
     p2 = simulate_path(params, steps=100, seed=Seed(11))
-    assert len(p1.values) == 101
-    assert p1.values[0] == pytest.approx(20.0)
-    assert np.array_equal(p1.values, p2.values)
-    assert not np.array_equal(
-        p1.values, simulate_path(params, steps=100, seed=Seed(12)).values
-    )
+    assert len(p1) == 101
+    assert p1[0] == pytest.approx(20.0)
+    assert np.array_equal(p1, p2)
+    assert not np.array_equal(p1, simulate_path(params, steps=100, seed=Seed(12)))
 
 
 def test_simulate_path_matches_stepwise_reconstruction():
     params = GbmParams(20.0, 0.001, 0.05)
     path = simulate_path(params, steps=50, dt=0.5, seed=Seed(4))
     z = Seed(4).stream(0).standard_normal(50)
+    mean, sd = params.log_increment(0.5)
     y = 20.0
     for i in range(50):
-        y = exact_step(y, params, 0.5, z[i])
-        assert path.values[i + 1] == pytest.approx(y, rel=1e-12)
+        y *= math.exp(mean + sd * z[i])
+        assert path[i + 1] == pytest.approx(y, rel=1e-12)
 
 
 def test_simulate_path_zero_vol_is_exponential():
     params = GbmParams(8.0, 0.01, 0.0)
     path = simulate_path(params, steps=10, seed=Seed(0))
     expected = 8.0 * np.exp(0.01 * np.arange(11))
-    assert np.allclose(path.values, expected, rtol=1e-12)
+    assert np.allclose(path, expected, rtol=1e-12)
 
 
 def test_simulate_path_rejects_zero_steps():
     with pytest.raises(ConfigError):
         simulate_path(GbmParams(1.0, 0.0, 0.1), steps=0)
-
-
-def test_expected_price():
-    params = GbmParams(21.43, -0.002, 0.06)
-    assert expected_price(params, 0.0) == pytest.approx(21.43)
-    assert expected_price(params, 246.0) == pytest.approx(
-        21.43 * math.exp(-0.002 * 246)
-    )
-    with pytest.raises(ConfigError):
-        expected_price(params, -1.0)

@@ -7,7 +7,6 @@ import pytest
 from carbonstop import (
     DataError,
     PriceSeries,
-    ReturnSeries,
     estimate_gbm,
     load_price_csv,
     log_returns,
@@ -70,6 +69,12 @@ def test_load_bad_price_reports_line(tmp_path):
         load_price_csv(path)
 
 
+def test_load_row_without_date_reports_line(tmp_path):
+    path = write_csv(tmp_path / "short.csv", ["5.0,2021-03-01", "6.0"], "close,date")
+    with pytest.raises(DataError, match="line 3"):
+        load_price_csv(path)
+
+
 def test_load_missing_file():
     with pytest.raises(DataError, match="cannot open"):
         load_price_csv("/nonexistent/prices.csv")
@@ -99,8 +104,8 @@ def test_log_returns():
     )
     r = log_returns(series)
     assert len(r) == 2
-    assert r.returns[0] == pytest.approx(math.log(2.0))
-    assert r.returns[1] == pytest.approx(-math.log(2.0))
+    assert r[0] == pytest.approx(math.log(2.0))
+    assert r[1] == pytest.approx(-math.log(2.0))
 
 
 def test_log_returns_needs_two_prices():
@@ -110,24 +115,23 @@ def test_log_returns_needs_two_prices():
 
 
 def test_estimate_gbm_hand_values():
-    est = estimate_gbm(ReturnSeries((0.1, 0.2, 0.3)))
+    est = estimate_gbm((0.1, 0.2, 0.3))
     assert est.mu == pytest.approx(0.2)
     assert est.sigma == pytest.approx(0.1)  # n-1 denominator
     assert est.sample_count == 3
-    assert est.to_dict() == {"mu": est.mu, "sigma": est.sigma, "sample_count": 3}
 
 
 def test_estimate_gbm_matches_numpy_ddof1():
     rng = np.random.default_rng(3)
     r = rng.normal(0.001, 0.02, size=500)
-    est = estimate_gbm(ReturnSeries(tuple(r)))
+    est = estimate_gbm(r)
     assert est.mu == pytest.approx(r.mean())
     assert est.sigma == pytest.approx(r.std(ddof=1))
 
 
 def test_estimate_gbm_needs_two_returns():
     with pytest.raises(DataError):
-        estimate_gbm(ReturnSeries((0.1,)))
+        estimate_gbm((0.1,))
 
 
 def test_split_at_roundtrip(basic_csv):

@@ -80,7 +80,8 @@ def test_monitor_rejects_too_many_prices():
 
 def test_monitor_rejects_bad_prices():
     boundary = flat_boundary([30.0] * 3)
-    for bad in ([math.nan, 1000.0], [10.0, math.inf], [10.0, 0.0], [-5.0], ["x"]):
+    bad_prices = ([math.nan, 1000.0], [10.0, math.inf], [10.0, 0.0], [-5.0], ["x"], [10**400])
+    for bad in bad_prices:
         with pytest.raises(DataError, match="price"):
             monitor(boundary, bad)
 
