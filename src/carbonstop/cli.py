@@ -2,11 +2,14 @@
 
 One JSON config per run; scalar flags (--seed, --samples, --grid) override
 the corresponding config fields.  This module alone knows the config
-format: each block is read by `_section`, which refuses a key the block
-does not hold, each number by `config_number`, each file path by
-`config_text` and each column mapping by `_columns`.  Outputs are written
-atomically (temp file then rename), so an aborted run never leaves partial
-files behind.
+format: `_section` reads every JSON object in it (the root, each section
+and the `upgrade`, `survival_query` and `columns` blocks) and refuses a key
+the object does not hold; `_field` reads every number, string and list,
+and both name the full dotted path in their errors.  Each config-driven
+command is registered by `config_command`, which reads `gbm` and `solver`
+for it.
+Outputs are written atomically (temp file then rename), so an aborted run
+never leaves partial files behind.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -42,20 +45,15 @@ from .solver import (
     time_index,
 )
 
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+# The exit code of each error a command may raise; 0 is success.
+EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4}
 
 # Every command accepts the same top-level sections, so that one config can
 # carry the blocks of several commands.
 SECTIONS = ("gbm", "estimate", "plant", "solver", "monitor", "surface")
 PLANT_KEYS = ("M", "P", "T", "upgrade")
 UPGRADE_KEYS = ("day", "P_new", "M_new")
-
-
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+P_RANGE = ("p_start", "p_stop", "p_step")
 
 
 def handle_errors(func):
@@ -63,12 +61,9 @@ def handle_errors(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except ConfigError as exc:
-            _fail(EXIT_CONFIG, str(exc))
-        except DataError as exc:
-            _fail(EXIT_DATA, str(exc))
-        except NumericError as exc:
-            _fail(EXIT_NUMERIC, str(exc))
+        except tuple(EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_CODES[type(exc)])
 
     return wrapper
 
@@ -118,37 +113,23 @@ def _load_config(path: str) -> dict:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be a JSON object")
-    for name in config:
-        if name not in SECTIONS:
-            raise ConfigError(f"unknown config section '{name}'")
-    return config
+    return _section({"config": config}, "config", SECTIONS)
 
 
-def _section(config: dict, name: str, keys, optional: bool = False) -> dict:
-    """Block `name` of `config`, checked to be an object holding only `keys`;
-    an absent optional block is {}."""
-    if name not in config and not optional:
-        raise ConfigError(f"config missing '{name}' section")
-    block = config.get(name, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"config '{name}' section must be a JSON object")
-    for key in block:
-        if key not in keys:
-            raise ConfigError(f"unknown config key '{name}.{key}'")
-    return block
-
-
-def config_number(block: dict, key: str, section: str) -> float:
-    """`block[key]` as a finite float; a missing key is a ConfigError."""
-    if key not in block:
-        raise ConfigError(f"{section} config missing field '{key}'")
-    return finite_number(block[key], f"{section}.{key}")
-
-
-def finite_number(value, name: str) -> float:
-    """`value` as a finite float, or a ConfigError naming `name`."""
+def _field(block, key, path: str, kind: type = float):
+    """`block[key]` as a finite float, or checked to be a `kind` (str, dict
+    or list); a missing key is a ConfigError.  `path` is the block's dotted
+    name in the config ("" for the root), so errors name `path.key`."""
+    try:
+        value = block[key]
+    except KeyError:
+        raise ConfigError(f"{path} config missing field '{key}'".lstrip()) from None
+    name = f"{path}.{key}" if path else key
+    if kind is not float:
+        if isinstance(value, kind):
+            return value
+        noun = {str: "a string", dict: "a JSON object", list: "a JSON list"}[kind]
+        raise ConfigError(f"{name} must be {noun}, got {type(value).__name__}")
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if number and abs(value) <= sys.float_info.max:  # False for NaN and inf
         return float(value)
@@ -156,43 +137,27 @@ def finite_number(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number, got {got}")
 
 
-def config_text(block: dict, key: str, section: str) -> str:
-    """`block[key]` as a string; a missing key is a ConfigError."""
-    if key not in block:
-        raise ConfigError(f"{section} config missing field '{key}'")
-    value = block[key]
-    if not isinstance(value, str):
-        raise ConfigError(
-            f"{section}.{key} must be a string, got {type(value).__name__}"
-        )
-    return value
-
-
-def _columns(block: dict, section: str) -> dict | None:
-    """`block["columns"]`, checked to map date and/or price to header
-    names; absent or null means the default headers."""
-    columns = block.get("columns")
-    if columns is None:
+def _section(parent: dict, key: str, keys, path: str = "", optional: bool = False,
+             kind: type | None = None) -> dict | None:
+    """`parent[key]`, checked to be a JSON object holding only `keys`, each
+    value a `kind` if one is given; an optional block that is absent or
+    null is None.  `path` is the parent's dotted name, as for `_field`."""
+    if optional and parent.get(key) is None:
         return None
-    name = f"{section}.columns"
-    if not isinstance(columns, dict):
-        raise ConfigError(
-            f"{name} must be a JSON object, got {type(columns).__name__}"
-        )
-    for key, header in columns.items():
-        if key not in DEFAULT_COLUMNS:
+    block = _field(parent, key, path, dict)
+    name = f"{path}.{key}" if path else key
+    for k in block:
+        if k not in keys:
             raise ConfigError(
-                f"unknown key '{key}' in {name}; expected date or price"
+                f"unknown key '{k}' in {name}; expected one of {', '.join(keys)}"
             )
-        if not isinstance(header, str):
-            raise ConfigError(
-                f"{name}.{key} must be a string, got {type(header).__name__}"
-            )
-    return columns
+        if kind is not None:
+            _field(block, k, name, kind)
+    return block
 
 
 def _plant(block: dict) -> PlantParams:
-    return PlantParams(*(config_number(block, key, "plant") for key in ("M", "P", "T")))
+    return PlantParams(*(_field(block, key, "plant") for key in ("M", "P", "T")))
 
 
 def _constant_plant(config: dict) -> PlantParams:
@@ -225,20 +190,21 @@ def _estimate(csv_path, columns, start, end, flags: tuple[str, str]):
 
 
 def _resolve_gbm(config: dict) -> GbmParams:
-    has_gbm = "gbm" in config
-    has_est = "estimate" in config
-    if has_gbm == has_est:
+    if ("gbm" in config) == ("estimate" in config):
         raise ConfigError("config needs exactly one of 'gbm' or 'estimate'")
-    if has_gbm:
+    if "gbm" in config:
         keys = ("y0", "mu", "sigma")
         block = _section(config, "gbm", keys)
-        return GbmParams(*(config_number(block, key, "gbm") for key in keys))
+        return GbmParams(*(_field(block, key, "gbm") for key in keys))
     block = _section(config, "estimate", ("csv", "columns", "start", "end", "y0"))
+    columns = _section(
+        block, "columns", DEFAULT_COLUMNS, "estimate", optional=True, kind=str
+    )
     series, est = _estimate(
-        config_text(block, "csv", "estimate"), _columns(block, "estimate"),
+        _field(block, "csv", "estimate", str), columns,
         block.get("start"), block.get("end"), ("estimate.start", "estimate.end"),
     )
-    y0 = config_number(block, "y0", "estimate") if "y0" in block else series.prices[-1]
+    y0 = _field(block, "y0", "estimate") if "y0" in block else series.prices[-1]
     return GbmParams(y0=y0, mu=est.mu, sigma=est.sigma)
 
 
@@ -248,7 +214,7 @@ def _resolve_solver_config(
     keys = (
         "samples", "grid", "seed", "stop_tol_scale", "smooth", "grid_min", "grid_max"
     )
-    block = dict(_section(config, "solver", keys, optional=True))
+    block = dict(_section(config, "solver", keys) if "solver" in config else {})
     for key, flag in (("seed", seed), ("samples", samples), ("grid", grid)):
         if flag is not None:
             block[key] = flag
@@ -259,7 +225,7 @@ def _resolve_solver_config(
         value = block.get(key, fallback)
         if integer and type(value) is int:  # exact past 2**53; a bool is no int
             return value
-        value = config_number(block, key, "solver") if key in block else fallback
+        value = _field(block, key, "solver") if key in block else fallback
         if integer and not value.is_integer():
             raise ConfigError(f"solver.{key} must be an integer, got {value!r}")
         return int(value) if integer else value
@@ -281,16 +247,6 @@ def _resolve_solver_config(
     return solver_config, smooth
 
 
-def _resolve_run(
-    config_path: str, seed: int | None, samples: int | None, grid: int | None
-) -> tuple[dict, GbmParams, SolverConfig, str]:
-    """The prologue every config-driven command shares (last: solver.smooth)."""
-    config = _load_config(config_path)
-    return config, _resolve_gbm(config), *_resolve_solver_config(
-        config, seed, samples, grid
-    )
-
-
 def _summary_writer(boundary, solver_config, elapsed):
     found = boundary.found_mask()
     return _json_writer({
@@ -304,28 +260,46 @@ def _summary_writer(boundary, solver_config, elapsed):
     })
 
 
-common_options = [
-    click.option("--config", "config_path", required=True, type=str,
-                 help="JSON run configuration."),
-    click.option("--seed", type=int, default=None, help="Override master seed."),
-    click.option("--out", "out_dir", type=str, default=".",
-                 help="Output directory."),
-    click.option("--samples", type=int, default=None,
-                 help="Override samples per node."),
-    click.option("--grid", type=int, default=None,
-                 help="Override price grid size."),
-]
-
-
-def with_common_options(func):
-    for option in reversed(common_options):
-        func = option(func)
-    return func
-
-
 @click.group()
 def main():
     """Production-halt boundary solver for carbon-constrained plants."""
+
+
+def config_command(name: str, smooths: bool = False):
+    """Register `body` as the config-driven command `name`.
+
+    The command takes --config, --seed, --out, --samples and --grid, reads
+    the config's `gbm` (or `estimate`) and then its `solver` block, and
+    calls `body(config, gbm, solver_config, smooth, out_dir)`; its errors
+    exit with their EXIT_CODES.  A command that does not `smooth` refuses a
+    `solver.smooth` other than "none".
+    """
+    def register(body):
+        @main.command(name, help=body.__doc__)
+        @click.option("--config", "config_path", required=True, type=str,
+                      help="JSON run configuration.")
+        @click.option("--seed", type=int, default=None, help="Override master seed.")
+        @click.option("--out", "out_dir", type=str, default=".",
+                      help="Output directory.")
+        @click.option("--samples", type=int, default=None,
+                      help="Override samples per node.")
+        @click.option("--grid", type=int, default=None,
+                      help="Override price grid size.")
+        @handle_errors
+        def command(config_path, seed, out_dir, samples, grid):
+            config = _load_config(config_path)
+            gbm = _resolve_gbm(config)
+            solver_config, smooth = _resolve_solver_config(config, seed, samples, grid)
+            if smooth != "none" and not smooths:
+                raise ConfigError(
+                    f"solver.smooth {smooth!r} applies only to solve; "
+                    f"{name} uses the unsmoothed boundary"
+                )
+            body(config, gbm, solver_config, smooth, out_dir)
+
+        return command
+
+    return register
 
 
 @main.command()
@@ -342,12 +316,9 @@ def estimate(csv_path, date_column, price_column, start, end):
     click.echo(json.dumps(asdict(est), indent=2, sort_keys=True))
 
 
-@main.command()
-@with_common_options
-@handle_errors
-def solve(config_path, seed, out_dir, samples, grid):
+@config_command("solve", smooths=True)
+def solve(config, gbm, solver_config, smooth, out_dir):
     """Solve the halt boundary; writes boundary.csv and summary.json."""
-    config, gbm, solver_config, smooth = _resolve_run(config_path, seed, samples, grid)
     plant = _constant_plant(config)
 
     boundary, elapsed = _timed(lambda: smooth_boundary(
@@ -359,43 +330,39 @@ def solve(config_path, seed, out_dir, samples, grid):
     })
 
 
-@main.command("monitor")
-@with_common_options
-@handle_errors
-def monitor_cmd(config_path, seed, out_dir, samples, grid):
+@config_command("monitor")
+def monitor_cmd(config, gbm, solver_config, _, out_dir):
     """Solve the boundary and test daily prices against it; writes monitor.json."""
-    config, gbm, solver_config, _ = _resolve_run(config_path, seed, samples, grid)
     plant = _constant_plant(config)
     block = _section(config, "monitor", ("prices_csv", "columns", "prices"))
-    columns = _columns(block, "monitor")
-    if "prices_csv" in block:
-        path = config_text(block, "prices_csv", "monitor")
-        prices = load_price_csv(path, columns=columns).prices
-    elif "prices" in block:
-        prices = block["prices"]
-        if not isinstance(prices, list) or {type(p) for p in prices} - {int, float}:
-            raise DataError("monitor.prices must be a flat list of numbers")
+    if ("prices_csv" in block) == ("prices" in block):
+        raise ConfigError("monitor config needs exactly one of 'prices_csv' or 'prices'")
+    if "prices" in block:
+        if block.get("columns") is not None:
+            raise ConfigError("monitor.columns applies only to monitor.prices_csv")
+        prices = block["prices"]  # checked by scenario.monitor
     else:
-        raise ConfigError("monitor config needs 'prices_csv' or 'prices'")
+        columns = _section(
+            block, "columns", DEFAULT_COLUMNS, "monitor", optional=True, kind=str
+        )
+        path = _field(block, "prices_csv", "monitor", str)
+        prices = load_price_csv(path, columns=columns).prices
 
     _, boundary = solve_boundary(gbm, plant, solver_config)
     report = monitor(boundary, prices)
     _write_outputs(out_dir, {"monitor.json": _json_writer(asdict(report))})
 
 
-@main.command("upgrade")
-@with_common_options
-@handle_errors
-def upgrade_cmd(config_path, seed, out_dir, samples, grid):
+@config_command("upgrade")
+def upgrade_cmd(config, gbm, solver_config, _, out_dir):
     """Solve before/after/composite boundaries around a plant upgrade."""
-    config, gbm, solver_config, _ = _resolve_run(config_path, seed, samples, grid)
     block = _section(config, "plant", PLANT_KEYS)
-    if block.get("upgrade") is None:
+    upgrade_block = _section(block, "upgrade", UPGRADE_KEYS, "plant", optional=True)
+    if upgrade_block is None:
         raise ConfigError("plant config has no 'upgrade' block")
     plant = _plant(block)
-    upgrade_block = _section(block, "upgrade", UPGRADE_KEYS)
     upgrade = Upgrade(
-        *(config_number(upgrade_block, key, "upgrade") for key in UPGRADE_KEYS)
+        *(_field(upgrade_block, key, "plant.upgrade") for key in UPGRADE_KEYS)
     )
 
     (before, after, composite), elapsed = _timed(
@@ -409,39 +376,30 @@ def upgrade_cmd(config_path, seed, out_dir, samples, grid):
     })
 
 
-@main.command("surface")
-@with_common_options
-@handle_errors
-def surface_cmd(config_path, seed, out_dir, samples, grid):
+@config_command("surface")
+def surface_cmd(config, gbm, solver_config, _, out_dir):
     """Sweep unit-profit levels into a stopping surface B(t, p)."""
-    config, gbm, solver_config, _ = _resolve_run(config_path, seed, samples, grid)
-    keys = ("T", "p_values", "p_start", "p_stop", "p_step", "survival_query")
+    keys = ("T", "p_values", *P_RANGE, "survival_query")
     block = _section(config, "surface", keys)
-    horizon = config_number(block, "T", "surface")
-    if "p_values" in block:
-        values = block["p_values"]
-        if not isinstance(values, list):
-            raise ConfigError("surface.p_values must be a list of numbers")
-        p_values = [finite_number(p, "surface.p_values") for p in values]
-    elif all(k in block for k in ("p_start", "p_stop", "p_step")):
-        start, stop, step = (
-            config_number(block, key, "surface")
-            for key in ("p_start", "p_stop", "p_step")
+    horizon = _field(block, "T", "surface")
+    if ("p_values" in block) == any(key in block for key in P_RANGE):
+        raise ConfigError(
+            "surface config needs exactly one of 'p_values' or p_start/p_stop/p_step"
         )
+    if "p_values" in block:
+        values = _field(block, "p_values", "surface", list)
+        p_values = [_field(values, i, "surface.p_values") for i in range(len(values))]
+    else:
+        start, stop, step = (_field(block, key, "surface") for key in P_RANGE)
         if step <= 0:
             raise ConfigError(f"surface.p_step must be positive, got {step}")
         p_values = np.arange(start, stop + 1e-9, step).tolist()
-    else:
-        raise ConfigError(
-            "surface config needs 'p_values' or p_start/p_stop/p_step"
-        )
-    query = block.get("survival_query")
+    query = _section(block, "survival_query", ("t", "y"), "surface", optional=True)
     if query is not None:
-        query = _section(block, "survival_query", ("t", "y"))
-        t, y = (config_number(query, key, "survival_query") for key in ("t", "y"))
+        t, y = (_field(query, key, "surface.survival_query") for key in ("t", "y"))
         time_index(TimeGrid(horizon).times, t)
         if y <= 0:
-            raise ConfigError(f"survival_query.y must be positive, got {y}")
+            raise ConfigError(f"surface.survival_query.y must be positive, got {y}")
 
     surf, elapsed = _timed(lambda: surface(gbm, horizon, p_values, solver_config))
     summary = {

@@ -46,12 +46,18 @@ def monitor(boundary: Boundary, prices) -> MonitorReport:
 
     `prices` is a sequence aligned by position with the boundary's time
     grid, index 0 = t_0.  ABOVE_GRID boundary entries can never be crossed.
-    Every price must be a positive finite number.
+    Every price must be a positive finite number, not a string or a bool.
     """
+    items = np.asarray(prices, dtype=object)
+    if items.ndim != 1 or not all(
+        isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+        for p in items
+    ):
+        raise DataError("monitor.prices must be a flat sequence of numbers")
     try:
-        values = np.asarray(prices, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"prices must be numbers: {exc}") from exc
+        values = items.astype(float)
+    except OverflowError as exc:
+        raise DataError(f"monitor.prices: {exc}") from exc
     bad = ~(np.isfinite(values) & (values > 0))
     if bad.any():
         i = int(np.argmax(bad))

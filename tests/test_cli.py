@@ -325,6 +325,42 @@ def test_unknown_smooth_method_exits_before_solving(runner, tmp_path, monkeypatc
     assert "solver.smooth" in result.output
 
 
+@pytest.mark.parametrize("command", ["monitor", "upgrade", "surface"])
+def test_smooth_refused_where_nothing_smooths(runner, tmp_path, monkeypatch, command):
+    # only solve applies solver.smooth; the others would silently use the
+    # unsmoothed boundary
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the lattice was solved before solver.smooth was checked")
+
+    for name in ("solve_boundary", "apply_upgrade", "surface"):
+        monkeypatch.setattr(cli, name, no_solve)
+    payload = CONFIGS[command]()
+    payload["solver"]["smooth"] = "isotonic"
+    if command == "monitor":
+        payload["monitor"] = {"prices": [1.0, 2.0]}
+    result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert "solver.smooth" in result.output
+
+
+DESCRIPTIONS = {
+    "solve": "Solve the halt boundary; writes boundary.csv and summary.json.",
+    "monitor": "Solve the boundary and test daily prices against it; writes monitor.json.",
+    "upgrade": "Solve before/after/composite boundaries around a plant upgrade.",
+    "surface": "Sweep unit-profit levels into a stopping surface B(t, p).",
+}
+
+
+@pytest.mark.parametrize("command", list(DESCRIPTIONS))
+def test_config_command_help(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    text = " ".join(result.output.split())  # click may wrap long lines
+    assert DESCRIPTIONS[command] in text
+    for option in ("--config", "--seed", "--out", "--samples", "--grid"):
+        assert option in text
+
+
 # --- monitor --------------------------------------------------------------------
 
 
@@ -369,6 +405,32 @@ def test_monitor_requires_prices(runner, tmp_path):
     payload["monitor"] = {}
     config = write_config(tmp_path, payload)
     assert runner.invoke(main, ["monitor", "--config", config]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "command, block, message",
+    [
+        ("monitor", {"prices_csv": "prices.csv", "prices": [1.0]}, "exactly one"),
+        ("monitor", {"prices": [1.0], "columns": {"price": "close"}}, "monitor.columns"),
+        ("surface", {"T": 10, "p_values": [5, 10], "p_start": 5, "p_stop": 10,
+                     "p_step": 5}, "exactly one"),
+        ("surface", {"T": 10, "p_values": [5, 10], "p_step": 5}, "exactly one"),
+    ],
+    ids=["monitor-csv-and-prices", "monitor-columns-with-prices",
+         "surface-values-and-range", "surface-values-and-step"],
+)
+def test_two_sources_for_one_input_exit_2(runner, tmp_path, monkeypatch, command,
+                                          block, message):
+    def untouched(*args, **kwargs):
+        raise AssertionError("an input was read or solved before the config was checked")
+
+    for name in ("load_price_csv", "solve_boundary", "surface"):
+        monkeypatch.setattr(cli, name, untouched)
+    payload = CONFIGS[command]()
+    payload[command] = block
+    result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert message in result.output
 
 
 # --- upgrade --------------------------------------------------------------------

@@ -91,6 +91,25 @@ def test_monitor_accepts_shorter_window():
     assert not monitor(boundary, [10, 20]).crossed
 
 
+@pytest.mark.parametrize(
+    "prices", [["30", 40], [True, 50], [[30, 40]]], ids=["string", "bool", "nested"]
+)
+def test_monitor_refuses_prices_that_are_not_numbers(prices):
+    # a plain float conversion would read "30" as 30.0 and True as 1.0
+    with pytest.raises(DataError, match="monitor.prices"):
+        monitor(flat_boundary([35.0] * 3), prices)
+
+
+@pytest.mark.parametrize(
+    "prices",
+    [(30, 40), [30, 40.0], np.array([30, 40]), np.array([30.0, 40.0], dtype=np.float32)],
+    ids=["tuple", "list", "int-array", "float32-array"],
+)
+def test_monitor_accepts_numeric_sequences(prices):
+    report = monitor(flat_boundary([35.0] * 3), prices)
+    assert report.crossing_index == 1 and report.crossing_price == 40.0
+
+
 # --- upgrades ----------------------------------------------------------------
 
 
