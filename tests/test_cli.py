@@ -729,3 +729,102 @@ def test_overflowing_drift_on_user_grid_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, payload)])
     assert_config_error(result)
     assert "mu" in result.output
+
+
+# --- paths the configs above do not reach ----------------------------------------
+
+
+def test_surface_p_values_match_the_range(runner, tmp_path):
+    outputs = []
+    for name, levels in (("range", None), ("values", [5, 10, 15])):
+        payload = surface_config()
+        if levels is not None:
+            for key in ("p_start", "p_stop", "p_step"):
+                del payload["surface"][key]
+            payload["surface"]["p_values"] = levels
+        config, out = write_config(tmp_path, payload, f"{name}.json"), tmp_path / name
+        result = runner.invoke(main, ["surface", "--config", config, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append([(out / f).read_bytes() for f in ("surface.csv", "surface.json")])
+    assert outputs[0] == outputs[1]
+
+
+MONITOR_PRICES = [1.0, 2.0, 60.0, 3.0]
+
+
+def test_monitor_price_csv_matches_inline_prices(runner, tmp_path):
+    reports = []
+    for source in ("inline", "csv", "csv-columns"):
+        payload = base_config()
+        header = ("day", "settle") if source == "csv-columns" else ("date", "close")
+        csv_path = tmp_path / f"{source}.csv"
+        csv_path.write_text(",".join(header) + "\n" + "".join(
+            f"2020-01-{day:02d},{price}\n" for day, price in enumerate(MONITOR_PRICES, 2)
+        ))
+        if source == "inline":
+            payload["monitor"] = {"prices": MONITOR_PRICES}
+        else:
+            payload["monitor"] = {"prices_csv": str(csv_path)}
+        if source == "csv-columns":
+            payload["monitor"]["columns"] = {"date": "day", "price": "settle"}
+        config, out = write_config(tmp_path, payload), tmp_path / source
+        result = runner.invoke(main, ["monitor", "--config", config, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports.append((out / "monitor.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    report = json.loads(reports[0])
+    assert (report["crossed"], report["crossing_index"]) == (True, 2)
+
+
+def test_estimate_end_cuts_the_window(runner, tmp_path):
+    csv_path = tmp_path / "prices.csv"
+    csv_path.write_text(PRICE_CSV)
+    result = runner.invoke(main, ["estimate", str(csv_path), "--end", "2020-01-07"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["sample_count"] == 2
+
+
+def test_estimate_block_end_cuts_the_window(runner, tmp_path, monkeypatch):
+    counts = []
+    estimate_gbm = cli.estimate_gbm
+
+    def counting(returns):
+        est = estimate_gbm(returns)
+        counts.append(est.sample_count)
+        return est
+
+    monkeypatch.setattr(cli, "estimate_gbm", counting)
+    csv_path = tmp_path / "prices.csv"
+    csv_path.write_text(PRICE_CSV)
+    payload = base_config()
+    del payload["gbm"]
+    payload["estimate"] = {"csv": str(csv_path), "end": "2020-01-07"}
+    result = runner.invoke(
+        main, ["solve", "--config", write_config(tmp_path, payload),
+               "--out", str(tmp_path / "run")]
+    )
+    assert result.exit_code == 0, result.output
+    assert counts == [2]
+
+
+@pytest.mark.parametrize("key", ["grid_min", "grid_max"])
+def test_grid_bound_alone_exits_2(runner, tmp_path, key):
+    payload = base_config()
+    payload["solver"][key] = 10.0
+    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert "grid_min and grid_max must be given together" in result.output
+
+
+def test_failed_writer_leaves_the_directory_as_it_was(tmp_path):
+    (tmp_path / "a.csv").write_text("old a\n")
+
+    def fail(tmp):
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_outputs(str(tmp_path), {
+            "a.csv": lambda tmp: tmp.write_text("new a\n"), "b.csv": fail,
+        })
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+    assert (tmp_path / "a.csv").read_text() == "old a\n"
