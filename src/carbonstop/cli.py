@@ -1,15 +1,14 @@
 """Command-line front end.
 
 One JSON config per run; scalar flags (--seed, --samples, --grid) override
-the corresponding config fields.  This module alone knows the config
-format: `_section` reads every JSON object in it (the root, each section
-and the `upgrade`, `survival_query` and `columns` blocks) and refuses a key
-the object does not hold; `_field` reads every number, string and list,
-and both name the full dotted path in their errors.  Each config-driven
-command is registered by `config_command`, which reads `gbm` and `solver`
-for it.
-Outputs are written atomically (temp file then rename), so an aborted run
-never leaves partial files behind.
+the corresponding config fields.  `FORMAT` and `REQUIRED` state the config
+format once, and `_load_config` checks the whole file against them,
+whatever the command, naming a bad key by its dotted path.  Each
+config-driven command is registered by `config_command`, which resolves
+`solver` and hands the command a loader for the GBM parameters that it
+calls after its own checks, so no price file is opened before every check
+has passed.  Outputs are written atomically (temp file then rename), so an
+aborted run never leaves partial files behind.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -36,24 +35,42 @@ from .market_data import (
 from .plant import PlantParams, Upgrade
 from .scenario import apply_upgrade, min_survival_p, monitor, surface
 from .solver import (
-    SMOOTH_METHODS,
-    SolverConfig,
-    TimeGrid,
-    geometric_price_grid,
-    smooth_boundary,
-    solve_boundary,
-    time_index,
+    SMOOTH_METHODS, SolverConfig, TimeGrid, geometric_price_grid, smooth_boundary,
+    solve_boundary, time_index,
 )
 
 # The exit code of each error a command may raise; 0 is success.
 EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4}
 
-# Every command accepts the same top-level sections, so that one config can
-# carry the blocks of several commands.
-SECTIONS = ("gbm", "estimate", "plant", "solver", "monitor", "surface")
-PLANT_KEYS = ("M", "P", "T", "upgrade")
-UPGRADE_KEYS = ("day", "P_new", "M_new")
+# The config format: the keys each block may hold and the kind of each
+# value, which is a nested block (a dict), NUMBER (finite, read as a float),
+# INTEGER (taken exactly), STRING, NUMBERS (a list of finite numbers) or
+# AS_IS (passed on for its reader to check).  Every command accepts every
+# section, so that one config can carry the blocks of several commands, and
+# requires the sections it reads.  Within a section, null means no block.
+NUMBER, INTEGER, STRING = "a finite number", "an integer", "a string"
+NUMBERS, AS_IS = "a JSON list", "as is"
+COLUMNS = dict.fromkeys(DEFAULT_COLUMNS, STRING)
 P_RANGE = ("p_start", "p_stop", "p_step")
+FORMAT = {
+    "gbm": dict.fromkeys(("y0", "mu", "sigma"), NUMBER),
+    "estimate": {"csv": STRING, "columns": COLUMNS, "start": STRING, "end": STRING,
+                 "y0": NUMBER},
+    "plant": {"M": NUMBER, "P": NUMBER, "T": NUMBER,
+              "upgrade": dict.fromkeys(("day", "P_new", "M_new"), NUMBER)},
+    "solver": {"samples": INTEGER, "grid": INTEGER, "seed": INTEGER,
+               "stop_tol_scale": NUMBER, "smooth": STRING, "grid_min": NUMBER,
+               "grid_max": NUMBER},
+    "monitor": {"prices_csv": STRING, "columns": COLUMNS, "prices": AS_IS},
+    "surface": {"T": NUMBER, "p_values": NUMBERS, **dict.fromkeys(P_RANGE, NUMBER),
+                "survival_query": {"t": NUMBER, "y": NUMBER}},
+}
+# The keys a block must hold, by its dotted path.
+REQUIRED = {
+    "gbm": ("y0", "mu", "sigma"), "estimate": ("csv",), "plant": ("M", "P", "T"),
+    "plant.upgrade": ("day", "P_new", "M_new"), "surface": ("T",),
+    "surface.survival_query": ("t", "y"),
+}
 
 
 def handle_errors(func):
@@ -113,132 +130,129 @@ def _load_config(path: str) -> dict:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return _section({"config": config}, "config", SECTIONS)
+    return _check(config, FORMAT)
 
 
-def _field(block, key, path: str, kind: type = float):
-    """`block[key]` as a finite float, or checked to be a `kind` (str, dict
-    or list); a missing key is a ConfigError.  `path` is the block's dotted
-    name in the config ("" for the root), so errors name `path.key`."""
-    try:
-        value = block[key]
-    except KeyError:
-        raise ConfigError(f"{path} config missing field '{key}'".lstrip()) from None
-    name = f"{path}.{key}" if path else key
-    if kind is not float:
-        if isinstance(value, kind):
-            return value
-        noun = {str: "a string", dict: "a JSON object", list: "a JSON list"}[kind]
-        raise ConfigError(f"{name} must be {noun}, got {type(value).__name__}")
+def _check(value, kind, path: str = ""):
+    """`value`, checked to be of `kind` (a block or a value kind), with its
+    numbers read as floats or ints and its null nested blocks dropped.
+    `path` is its dotted name in the config ("" for the root), named in
+    every error."""
+    name = path or "config"
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
+        for key in value:
+            if key not in kind:
+                raise ConfigError(
+                    f"unknown key '{key}' in {name}; expected one of {', '.join(kind)}"
+                )
+        for key in REQUIRED.get(path, ()):
+            _required(value, key, path)
+        return {
+            key: _check(item, kind[key], f"{path}.{key}".lstrip("."))
+            for key, item in value.items()
+            if item is not None or not (path and isinstance(kind[key], dict))
+        }
+    if kind is AS_IS or kind is STRING and isinstance(value, str):
+        return value
+    if kind is NUMBERS and isinstance(value, list):
+        return [_check(item, NUMBER, f"{name}.{i}") for i, item in enumerate(value)]
+    if kind is INTEGER and type(value) is int:  # exact past 2**53; a bool is no int
+        return value
+    if kind in (STRING, NUMBERS):
+        raise ConfigError(f"{name} must be {kind}, got {type(value).__name__}")
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if number and abs(value) <= sys.float_info.max:  # False for NaN and inf
-        return float(value)
-    got = repr(value) if isinstance(value, float) else type(value).__name__
-    raise ConfigError(f"{name} must be a finite number, got {got}")
+    if not (number and abs(value) <= sys.float_info.max):  # False for NaN and inf
+        got = repr(value) if isinstance(value, float) else type(value).__name__
+        raise ConfigError(f"{name} must be {NUMBER}, got {got}")
+    if kind is INTEGER and not float(value).is_integer():
+        raise ConfigError(f"{name} must be {INTEGER}, got {value!r}")
+    return int(value) if kind is INTEGER else float(value)
 
 
-def _section(parent: dict, key: str, keys, path: str = "", optional: bool = False,
-             kind: type | None = None) -> dict | None:
-    """`parent[key]`, checked to be a JSON object holding only `keys`, each
-    value a `kind` if one is given; an optional block that is absent or
-    null is None.  `path` is the parent's dotted name, as for `_field`."""
-    if optional and parent.get(key) is None:
-        return None
-    block = _field(parent, key, path, dict)
-    name = f"{path}.{key}" if path else key
-    for k in block:
-        if k not in keys:
-            raise ConfigError(
-                f"unknown key '{k}' in {name}; expected one of {', '.join(keys)}"
-            )
-        if kind is not None:
-            _field(block, k, name, kind)
-    return block
+def _required(block: dict, key: str, path: str = ""):
+    """`block[key]`, which the caller needs; `path` names the block."""
+    if key not in block:
+        raise ConfigError(f"{path} config missing field '{key}'".lstrip())
+    return block[key]
 
 
-def _plant(block: dict) -> PlantParams:
-    return PlantParams(*(_field(block, key, "plant") for key in ("M", "P", "T")))
-
-
-def _constant_plant(config: dict) -> PlantParams:
-    """The plant of a command that solves with constant (M, P)."""
-    block = _section(config, "plant", PLANT_KEYS)
-    if block.get("upgrade") is not None:
+def _plant(config: dict, upgrades: bool = False) -> PlantParams:
+    """The plant, with constant (M, P); only a command that `upgrades` takes,
+    and needs, an `upgrade` block."""
+    block = _required(config, "plant")
+    if "upgrade" in block and not upgrades:
         raise ConfigError(
             "plant has an 'upgrade' block, which only the upgrade command "
             "reads (apply_upgrade); the solver takes constant (M, P)"
         )
-    return _plant(block)
+    if upgrades and "upgrade" not in block:
+        raise ConfigError("plant config has no 'upgrade' block")
+    return PlantParams(block["M"], block["P"], block["T"])
 
 
-def _parse_day(text, flag: str):
-    try:
-        return datetime.strptime(text, "%Y-%m-%d").date()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{flag} must be YYYY-MM-DD, got {text!r}") from exc
+def _window(start, end, prefix: str) -> list:
+    """The [start, end) dates of an estimation window, None for a bound that
+    is not given; errors name a bound as `prefix` + start or end."""
+    days = []
+    for text, bound in ((start, "start"), (end, "end")):
+        try:
+            day = None if text is None else datetime.strptime(text, "%Y-%m-%d").date()
+        except ValueError as exc:
+            raise ConfigError(f"{prefix}{bound} must be YYYY-MM-DD, got {text!r}") from exc
+        days.append(day)
+    return days
 
 
-def _estimate(csv_path, columns, start, end, flags: tuple[str, str]):
-    """(series, GBM estimate) of a price CSV cut to [start, end); `flags`
-    name the start and end options in error messages."""
+def _estimate(csv_path, columns, window):
+    """(series, GBM estimate) of a price CSV cut to the `_window` `window`."""
+    start, end = window
     series = load_price_csv(csv_path, columns=columns)
     if start:
-        _, series = split_at(series, _parse_day(start, flags[0]))
+        _, series = split_at(series, start)
     if end:
-        series, _ = split_at(series, _parse_day(end, flags[1]))
+        series, _ = split_at(series, end)
     return series, estimate_gbm(log_returns(series))
 
 
-def _resolve_gbm(config: dict) -> GbmParams:
+def _gbm_loader(config: dict):
+    """A function giving the run's GbmParams: the `gbm` block's, or those
+    estimated from the `estimate` block's price file, which only the call
+    opens.  Both blocks are checked here, before."""
     if ("gbm" in config) == ("estimate" in config):
         raise ConfigError("config needs exactly one of 'gbm' or 'estimate'")
     if "gbm" in config:
-        keys = ("y0", "mu", "sigma")
-        block = _section(config, "gbm", keys)
-        return GbmParams(*(_field(block, key, "gbm") for key in keys))
-    block = _section(config, "estimate", ("csv", "columns", "start", "end", "y0"))
-    columns = _section(
-        block, "columns", DEFAULT_COLUMNS, "estimate", optional=True, kind=str
-    )
-    series, est = _estimate(
-        _field(block, "csv", "estimate", str), columns,
-        block.get("start"), block.get("end"), ("estimate.start", "estimate.end"),
-    )
-    y0 = _field(block, "y0", "estimate") if "y0" in block else series.prices[-1]
-    return GbmParams(y0=y0, mu=est.mu, sigma=est.sigma)
+        gbm = GbmParams(**config["gbm"])
+        return lambda: gbm
+    block = config["estimate"]
+    window = _window(block.get("start"), block.get("end"), "estimate.")
+    if "y0" in block:
+        GbmParams(block["y0"], 0.0, 0.0)  # refuse a bad y0 before the file is read
+
+    def load():
+        series, est = _estimate(block["csv"], block.get("columns"), window)
+        return GbmParams(block.get("y0", series.prices[-1]), est.mu, est.sigma)
+
+    return load
 
 
-def _resolve_solver_config(
-    config: dict, seed: int | None, samples: int | None, grid: int | None
-) -> tuple[SolverConfig, str]:
-    keys = (
-        "samples", "grid", "seed", "stop_tol_scale", "smooth", "grid_min", "grid_max"
-    )
-    block = dict(_section(config, "solver", keys) if "solver" in config else {})
-    for key, flag in (("seed", seed), ("samples", samples), ("grid", grid)):
-        if flag is not None:
-            block[key] = flag
+def _solver_config(config: dict, **flags: int | None) -> tuple[SolverConfig, str]:
+    """The SolverConfig and smoothing method of the config's `solver` block,
+    with the `flags` that are given (not None) in place of its values."""
+    block = dict(config.get("solver", {}))
+    block.update((key, flag) for key, flag in flags.items() if flag is not None)
     if ("grid_min" in block) != ("grid_max" in block):
         raise ConfigError("grid_min and grid_max must be given together")
-
-    def read(key, fallback, integer=False):
-        value = block.get(key, fallback)
-        if integer and type(value) is int:  # exact past 2**53; a bool is no int
-            return value
-        value = _field(block, key, "solver") if key in block else fallback
-        if integer and not value.is_integer():
-            raise ConfigError(f"solver.{key} must be an integer, got {value!r}")
-        return int(value) if integer else value
-
     default = SolverConfig()
     solver_config = SolverConfig(
-        samples_per_node=read("samples", default.samples_per_node, integer=True),
-        grid_size=read("grid", default.grid_size, integer=True),
-        seed=Seed(read("seed", default.seed.value, integer=True)),
-        stop_tol_scale=read("stop_tol_scale", default.stop_tol_scale),
+        samples_per_node=block.get("samples", default.samples_per_node),
+        grid_size=block.get("grid", default.grid_size),
+        seed=Seed(block.get("seed", default.seed.value)),
+        stop_tol_scale=block.get("stop_tol_scale", default.stop_tol_scale),
     )
     if "grid_min" in block:
-        lo, hi = read("grid_min", None), read("grid_max", None)
+        lo, hi = block["grid_min"], block["grid_max"]
         price_grid = geometric_price_grid(lo, hi, solver_config.grid_size)
         solver_config = replace(solver_config, price_grid=price_grid)
     smooth = block.get("smooth", "none")
@@ -268,11 +282,11 @@ def main():
 def config_command(name: str, smooths: bool = False):
     """Register `body` as the config-driven command `name`.
 
-    The command takes --config, --seed, --out, --samples and --grid, reads
-    the config's `gbm` (or `estimate`) and then its `solver` block, and
-    calls `body(config, gbm, solver_config, smooth, out_dir)`; its errors
-    exit with their EXIT_CODES.  A command that does not `smooth` refuses a
-    `solver.smooth` other than "none".
+    The command takes --config, --seed, --out, --samples and --grid, checks
+    the config and calls `body(config, load_gbm, solver_config, smooth,
+    out_dir)`; `body` makes its own checks before `load_gbm()`, which may
+    read a price file.  Errors exit with their EXIT_CODES.  A command that
+    does not `smooth` refuses a `solver.smooth` other than "none".
     """
     def register(body):
         @main.command(name, help=body.__doc__)
@@ -286,16 +300,16 @@ def config_command(name: str, smooths: bool = False):
         @click.option("--grid", type=int, default=None,
                       help="Override price grid size.")
         @handle_errors
-        def command(config_path, seed, out_dir, samples, grid):
+        def command(config_path, out_dir, **flags):  # flags: seed, samples, grid
             config = _load_config(config_path)
-            gbm = _resolve_gbm(config)
-            solver_config, smooth = _resolve_solver_config(config, seed, samples, grid)
+            load_gbm = _gbm_loader(config)
+            solver_config, smooth = _solver_config(config, **flags)
             if smooth != "none" and not smooths:
                 raise ConfigError(
                     f"solver.smooth {smooth!r} applies only to solve; "
                     f"{name} uses the unsmoothed boundary"
                 )
-            body(config, gbm, solver_config, smooth, out_dir)
+            body(config, load_gbm, solver_config, smooth, out_dir)
 
         return command
 
@@ -311,16 +325,16 @@ def config_command(name: str, smooths: bool = False):
 @handle_errors
 def estimate(csv_path, date_column, price_column, start, end):
     """Estimate daily GBM drift/volatility from a price CSV."""
-    columns = {"date": date_column, "price": price_column}
-    _, est = _estimate(csv_path, columns, start, end, ("--start", "--end"))
+    window = _window(start, end, "--")
+    _, est = _estimate(csv_path, {"date": date_column, "price": price_column}, window)
     click.echo(json.dumps(asdict(est), indent=2, sort_keys=True))
 
 
 @config_command("solve", smooths=True)
-def solve(config, gbm, solver_config, smooth, out_dir):
+def solve(config, load_gbm, solver_config, smooth, out_dir):
     """Solve the halt boundary; writes boundary.csv and summary.json."""
-    plant = _constant_plant(config)
-
+    plant = _plant(config)
+    gbm = load_gbm()
     boundary, elapsed = _timed(lambda: smooth_boundary(
         solve_boundary(gbm, plant, solver_config)[1], method=smooth
     ))
@@ -331,40 +345,30 @@ def solve(config, gbm, solver_config, smooth, out_dir):
 
 
 @config_command("monitor")
-def monitor_cmd(config, gbm, solver_config, _, out_dir):
+def monitor_cmd(config, load_gbm, solver_config, _, out_dir):
     """Solve the boundary and test daily prices against it; writes monitor.json."""
-    plant = _constant_plant(config)
-    block = _section(config, "monitor", ("prices_csv", "columns", "prices"))
+    plant = _plant(config)
+    block = _required(config, "monitor")
     if ("prices_csv" in block) == ("prices" in block):
         raise ConfigError("monitor config needs exactly one of 'prices_csv' or 'prices'")
-    if "prices" in block:
-        if block.get("columns") is not None:
-            raise ConfigError("monitor.columns applies only to monitor.prices_csv")
-        prices = block["prices"]  # checked by scenario.monitor
-    else:
-        columns = _section(
-            block, "columns", DEFAULT_COLUMNS, "monitor", optional=True, kind=str
-        )
-        path = _field(block, "prices_csv", "monitor", str)
-        prices = load_price_csv(path, columns=columns).prices
-
+    if "prices" in block and "columns" in block:
+        raise ConfigError("monitor.columns applies only to monitor.prices_csv")
+    gbm = load_gbm()
+    prices = block["prices"] if "prices" in block else load_price_csv(
+        block["prices_csv"], columns=block.get("columns")
+    ).prices
     _, boundary = solve_boundary(gbm, plant, solver_config)
     report = monitor(boundary, prices)
     _write_outputs(out_dir, {"monitor.json": _json_writer(asdict(report))})
 
 
 @config_command("upgrade")
-def upgrade_cmd(config, gbm, solver_config, _, out_dir):
+def upgrade_cmd(config, load_gbm, solver_config, _, out_dir):
     """Solve before/after/composite boundaries around a plant upgrade."""
-    block = _section(config, "plant", PLANT_KEYS)
-    upgrade_block = _section(block, "upgrade", UPGRADE_KEYS, "plant", optional=True)
-    if upgrade_block is None:
-        raise ConfigError("plant config has no 'upgrade' block")
-    plant = _plant(block)
-    upgrade = Upgrade(
-        *(_field(upgrade_block, key, "plant.upgrade") for key in UPGRADE_KEYS)
-    )
-
+    plant = _plant(config, upgrades=True)
+    block = config["plant"]["upgrade"]
+    upgrade = Upgrade(block["day"], block["P_new"], block["M_new"])
+    gbm = load_gbm()
     (before, after, composite), elapsed = _timed(
         lambda: apply_upgrade(gbm, plant, upgrade, solver_config)
     )
@@ -377,31 +381,28 @@ def upgrade_cmd(config, gbm, solver_config, _, out_dir):
 
 
 @config_command("surface")
-def surface_cmd(config, gbm, solver_config, _, out_dir):
+def surface_cmd(config, load_gbm, solver_config, _, out_dir):
     """Sweep unit-profit levels into a stopping surface B(t, p)."""
-    keys = ("T", "p_values", *P_RANGE, "survival_query")
-    block = _section(config, "surface", keys)
-    horizon = _field(block, "T", "surface")
+    block = _required(config, "surface")
     if ("p_values" in block) == any(key in block for key in P_RANGE):
         raise ConfigError(
             "surface config needs exactly one of 'p_values' or p_start/p_stop/p_step"
         )
     if "p_values" in block:
-        values = _field(block, "p_values", "surface", list)
-        p_values = [_field(values, i, "surface.p_values") for i in range(len(values))]
+        p_values = block["p_values"]
     else:
-        start, stop, step = (_field(block, key, "surface") for key in P_RANGE)
+        start, stop, step = (_required(block, key, "surface") for key in P_RANGE)
         if step <= 0:
             raise ConfigError(f"surface.p_step must be positive, got {step}")
         p_values = np.arange(start, stop + 1e-9, step).tolist()
-    query = _section(block, "survival_query", ("t", "y"), "surface", optional=True)
+    query = block.get("survival_query")
     if query is not None:
-        t, y = (_field(query, key, "surface.survival_query") for key in ("t", "y"))
-        time_index(TimeGrid(horizon).times, t)
+        t, y = query["t"], query["y"]
+        time_index(TimeGrid(block["T"]).times, t)
         if y <= 0:
             raise ConfigError(f"surface.survival_query.y must be positive, got {y}")
-
-    surf, elapsed = _timed(lambda: surface(gbm, horizon, p_values, solver_config))
+    gbm = load_gbm()
+    surf, elapsed = _timed(lambda: surface(gbm, block["T"], p_values, solver_config))
     summary = {
         "runtime_seconds": elapsed,
         "seed": solver_config.seed.value,
@@ -411,9 +412,7 @@ def surface_cmd(config, gbm, solver_config, _, out_dir):
         summary["min_survival_p"] = min_survival_p(surf, t, y)
     _write_outputs(out_dir, {
         "surface.csv": surf.to_long_csv,
-        "surface.json": lambda tmp: tmp.write_text(
-            surf.to_json() + "\n", encoding="utf-8"
-        ),
+        "surface.json": lambda tmp: tmp.write_text(surf.to_json() + "\n", encoding="utf-8"),
         "surface_summary.json": _json_writer(summary),
     })
 

@@ -828,3 +828,60 @@ def test_failed_writer_leaves_the_directory_as_it_was(tmp_path):
         })
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
     assert (tmp_path / "a.csv").read_text() == "old a\n"
+
+
+# --- the whole config is checked before any price file is read --------------------
+
+
+def fail_if_called(monkeypatch):
+    def untouched(*args, **kwargs):
+        raise AssertionError("a price file was read or a lattice solved before the "
+                             "config was checked")
+
+    for name in ("load_price_csv", "solve_boundary", "apply_upgrade", "surface"):
+        monkeypatch.setattr(cli, name, untouched)
+
+
+@pytest.mark.parametrize(
+    "command, section, block, message",
+    [
+        ("solve", "solver", {"sampels": 300}, "unknown key 'sampels' in solver"),
+        ("solve", "plant", {"M": 0.014, "P": 14.7, "T": "x"}, "plant.T"),
+        ("solve", "surface", {"T": 10, "p_step": "x"}, "surface.p_step"),
+        ("solve", "estimate", {"csv": "no_such.csv", "start": "2020-13-06"},
+         "estimate.start must be YYYY-MM-DD"),
+        ("solve", "estimate", {"csv": "no_such.csv", "y0": -1.0}, "y0"),
+        ("upgrade", "monitor", {"prices_csv": "no_such.csv", "columns": 5},
+         "monitor.columns"),
+        ("surface", "plant", {"M": "x", "Q": 1}, "unknown key 'Q' in plant"),
+        ("surface", "plant", {"M": "x", "P": 14.7, "T": 20}, "plant.M must be a finite"),
+        ("surface", "plant", {"M": 0.014}, "plant config missing field 'P'"),
+        ("surface", "monitor", {"prices": "abc", "zzz": 1}, "unknown key 'zzz' in monitor"),
+        ("monitor", "monitor", {"prices_csv": "no_such.csv", "columns": {"date": 1}},
+         "monitor.columns.date must be a string"),
+    ],
+    ids=["solver-unknown-key", "plant-text", "unread-surface-text", "estimate-bad-date",
+         "estimate-bad-y0", "unread-monitor-columns", "unread-plant-unknown-key",
+         "unread-plant-text", "unread-plant-missing-key", "unread-monitor-unknown-key",
+         "monitor-columns-text"],
+)
+def test_whole_config_checked_before_any_file(runner, tmp_path, monkeypatch, command,
+                                              section, block, message):
+    # every config names a price file that does not exist: reading it would
+    # exit 3 (or trip the stubs above) instead of naming the bad key
+    fail_if_called(monkeypatch)
+    payload = CONFIGS[command]()
+    del payload["gbm"]
+    payload["estimate"] = {"csv": "no_such.csv"}
+    if command == "monitor":
+        payload["monitor"] = {"prices_csv": "no_such.csv"}
+    payload[section] = block
+    result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert message in result.output
+
+
+def test_estimate_checks_the_window_before_the_file(runner):
+    result = runner.invoke(main, ["estimate", "no_such.csv", "--start", "2020-13-06"])
+    assert_config_error(result)
+    assert "--start must be YYYY-MM-DD" in result.output
