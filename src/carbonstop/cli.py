@@ -35,8 +35,8 @@ from .market_data import (
 from .plant import PlantParams, Upgrade
 from .scenario import apply_upgrade, min_survival_p, monitor, surface
 from .solver import (
-    SMOOTH_METHODS, SolverConfig, TimeGrid, geometric_price_grid, smooth_boundary,
-    solve_boundary, time_index,
+    MAX_LATTICE_NODES, SMOOTH_METHODS, SolverConfig, TimeGrid, geometric_price_grid,
+    smooth_boundary, solve_boundary, time_index,
 )
 
 # The exit code of each error a command may raise; 0 is success.
@@ -202,6 +202,8 @@ def _window(start, end, prefix: str) -> list:
         except ValueError as exc:
             raise ConfigError(f"{prefix}{bound} must be YYYY-MM-DD, got {text!r}") from exc
         days.append(day)
+    if None not in days and days[1] <= days[0]:
+        raise ConfigError(f"{prefix}end {end} must be after {prefix}start {start}")
     return days
 
 
@@ -384,21 +386,31 @@ def upgrade_cmd(config, load_gbm, solver_config, _, out_dir):
 def surface_cmd(config, load_gbm, solver_config, _, out_dir):
     """Sweep unit-profit levels into a stopping surface B(t, p)."""
     block = _required(config, "surface")
+    time_grid = TimeGrid(block["T"])
     if ("p_values" in block) == any(key in block for key in P_RANGE):
         raise ConfigError(
             "surface config needs exactly one of 'p_values' or p_start/p_stop/p_step"
         )
     if "p_values" in block:
         p_values = block["p_values"]
+        count, key = len(p_values), "surface.p_values"
     else:
         start, stop, step = (_required(block, key, "surface") for key in P_RANGE)
         if step <= 0:
             raise ConfigError(f"surface.p_step must be positive, got {step}")
+        count, key = (stop + 1e-9 - start) / step, "surface.p_step"  # np.arange's length
+    nodes = float(time_grid.n_steps + 1) * count
+    if nodes > MAX_LATTICE_NODES:
+        raise ConfigError(
+            f"{key} gives {count:.6g} P levels over {time_grid.n_steps + 1} times: "
+            f"{nodes:.6g} surface nodes, more than MAX_LATTICE_NODES = {MAX_LATTICE_NODES}"
+        )
+    if "p_values" not in block:
         p_values = np.arange(start, stop + 1e-9, step).tolist()
     query = block.get("survival_query")
     if query is not None:
         t, y = query["t"], query["y"]
-        time_index(TimeGrid(block["T"]).times, t)
+        time_index(time_grid.times, t)
         if y <= 0:
             raise ConfigError(f"surface.survival_query.y must be positive, got {y}")
     gbm = load_gbm()

@@ -47,11 +47,13 @@ DEFAULT_GRID_SIZE = 200
 DEFAULT_TOL_SCALE = 1e-6
 # A slice holds a few float arrays of `samples` and of `grid + 1` entries,
 # so these caps bound its memory at tens of MB; the lattice itself is two
-# (horizon/delta + 1) x (grid + 1) arrays (U, G).  A shared-grid drive
-# also keeps its built slices, about 9 bytes per sample each, up to
-# SHARED_DRAW_BYTES; a standalone solve keeps none across slices.
+# (horizon/delta + 1) x (grid + 1) arrays (U, G), whose nodes are capped at
+# MAX_LATTICE_NODES (1 GiB for the two).  A shared-grid drive also keeps
+# its built slices, about 9 bytes per sample each, up to SHARED_DRAW_BYTES;
+# a standalone solve keeps none across slices.
 MAX_SAMPLES = 10**6
 MAX_GRID_SIZE = 20000
+MAX_LATTICE_NODES = 2**26
 SHARED_DRAW_BYTES = 32 * 2**20
 
 
@@ -375,7 +377,8 @@ def solve_backward(
     edge value (clamping).  Deterministic for a fixed seed.  `draws` lets a
     shared-grid drive reuse the slices across its solves; without it each
     slice is built and dropped.  Draws built for another seed, sample
-    count, time step or grid are a ConfigError.
+    count, time step or grid are a ConfigError, and so is a lattice of
+    more than MAX_LATTICE_NODES nodes, refused before any of it is built.
 
     G is filled row by row with one `immediate_value` call per node on
     Python floats (`tolist`), not numpy scalars: the IEEE operations and so
@@ -390,6 +393,13 @@ def solve_backward(
     if abs(time_grid.horizon - plant.horizon) > 1e-9:
         raise ConfigError("time grid horizon must match the plant horizon")
     grid = config.resolve_grid(gbm, plant)
+    nodes = float(time_grid.n_steps + 1) * len(grid.levels)  # inf past the floats
+    if nodes > MAX_LATTICE_NODES:
+        raise ConfigError(
+            f"T={time_grid.horizon:g} at delta={time_grid.delta:g} with grid size "
+            f"{len(grid.levels) - 1} makes {nodes:.6g} lattice nodes, more than "
+            f"MAX_LATTICE_NODES = {MAX_LATTICE_NODES}"
+        )
     own = SliceDraws(gbm, config, grid, time_grid)
     if draws is None:
         draws = own

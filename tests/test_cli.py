@@ -885,3 +885,59 @@ def test_estimate_checks_the_window_before_the_file(runner):
     result = runner.invoke(main, ["estimate", "no_such.csv", "--start", "2020-13-06"])
     assert_config_error(result)
     assert "--start must be YYYY-MM-DD" in result.output
+
+
+# --- sizes and windows refused before anything is built or read ---------------------
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"T": 150, "p_start": 10, "p_stop": 40, "p_step": 1e-12}, "surface.p_step"),
+        ({"T": 150, "p_start": 10, "p_stop": 40, "p_step": 5e-324}, "surface.p_step"),
+        ({"T": 1e12, "p_values": [10, 20]}, "surface.p_values"),
+        ({"T": 1e12, "p_values": [10], "survival_query": {"t": 0, "y": 45}},
+         "surface.p_values"),
+    ],
+    ids=["tiny-step", "subnormal-step", "long-horizon", "long-horizon-query"],
+)
+def test_surface_over_the_node_cap_exits_2(runner, tmp_path, monkeypatch, block, message):
+    def not_built(*args, **kwargs):
+        raise AssertionError("an array was built before the sweep size was checked")
+
+    fail_if_called(monkeypatch)
+    monkeypatch.setattr(cli.TimeGrid, "times", property(not_built))
+    monkeypatch.setattr(cli.np, "arange", not_built)
+    payload = surface_config()
+    payload["surface"] = block
+    result = runner.invoke(main, ["surface", "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert message in result.output and "MAX_LATTICE_NODES" in result.output
+
+
+def test_solve_over_the_node_cap_exits_2(runner, tmp_path):
+    payload = {"gbm": {"y0": 21.43, "mu": 0, "sigma": 0},
+               "plant": {"M": 0.014, "P": 14.7, "T": 1e12}}
+    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert "T=1e+12" in result.output and "MAX_LATTICE_NODES" in result.output
+
+
+@pytest.mark.parametrize("end", ["2020-01-03", "2020-01-06"], ids=["before", "same-day"])
+def test_inverted_estimate_window_exits_2_before_reading(runner, tmp_path, monkeypatch,
+                                                         end):
+    fail_if_called(monkeypatch)
+    csv_path = tmp_path / "prices.csv"
+    csv_path.write_text(PRICE_CSV)
+    result = runner.invoke(
+        main, ["estimate", str(csv_path), "--start", "2020-01-06", "--end", end]
+    )
+    assert_config_error(result)
+    assert f"--end {end} must be after --start 2020-01-06" in result.output
+
+    payload = base_config()
+    del payload["gbm"]
+    payload["estimate"] = {"csv": str(csv_path), "start": "2020-01-06", "end": end}
+    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, payload)])
+    assert_config_error(result)
+    assert f"estimate.end {end} must be after estimate.start 2020-01-06" in result.output

@@ -31,8 +31,10 @@ from carbonstop import (
     surface,
     value_at,
 )
+import carbonstop.solver as solver
 from carbonstop.solver import (
     MAX_GRID_SIZE,
+    MAX_LATTICE_NODES,
     MAX_SAMPLES,
     SliceDraws,
     _pava,
@@ -624,3 +626,34 @@ def test_boundary_shifts_k_cells_when_p_scales_by_r_to_the_k(case, cells, sample
     assert np.array_equal(high.found_mask(), found)
     index = np.searchsorted(grid.levels, low.values[found])
     assert np.array_equal(np.searchsorted(grid.levels, high.values[found]), index + k)
+
+
+@pytest.mark.parametrize(
+    "horizon, grid_size",
+    [(1e12, 200), (1e300, 200), (1e7, 200), (3356, MAX_GRID_SIZE)],
+)
+def test_lattice_over_the_node_cap_is_refused_before_it_is_built(monkeypatch, horizon,
+                                                                  grid_size):
+    # 3357 times x 20001 levels is just over 2**26 nodes; the others would
+    # ask numpy for GiB to TiB, or more than it can index
+    def no_times(self):
+        raise AssertionError("the time grid was built before the lattice was checked")
+
+    monkeypatch.setattr(TimeGrid, "times", property(no_times))
+    gbm, plant = GbmParams(21.43, 0.0, 0.0), PlantParams(0.014, 14.7, horizon)
+    with pytest.raises(ConfigError, match="MAX_LATTICE_NODES") as info:
+        solve_boundary(gbm, plant, SolverConfig(grid_size=grid_size))
+    assert f"grid size {grid_size}" in str(info.value)
+    assert f"T={horizon:g} at delta=1" in str(info.value)
+
+
+def test_lattice_node_cap_counts_times_by_levels(monkeypatch):
+    # T = 20 on an explicit 60-cell grid: 21 x 61 = 1281 nodes
+    gbm, plant = GbmParams(21.43, -0.002, 0.0603), PlantParams(0.014, 14.7, 20)
+    config = SolverConfig(samples_per_node=300, price_grid=geometric_price_grid(1, 100, 60))
+    monkeypatch.setattr(solver, "MAX_LATTICE_NODES", 21 * 61)
+    solve_boundary(gbm, plant, config)
+    monkeypatch.setattr(solver, "MAX_LATTICE_NODES", 21 * 61 - 1)
+    with pytest.raises(ConfigError, match="1281 lattice nodes"):
+        solve_boundary(gbm, plant, config)
+    assert MAX_LATTICE_NODES == 2**26
