@@ -154,7 +154,7 @@ def _check(value, kind, path: str = ""):
             for key, item in value.items()
             if item is not None or not (path and isinstance(kind[key], dict))
         }
-    if kind is AS_IS or kind is STRING and isinstance(value, str):
+    if kind is AS_IS or (kind is STRING and isinstance(value, str)):
         return value
     if kind is NUMBERS and isinstance(value, list):
         return [_check(item, NUMBER, f"{name}.{i}") for i, item in enumerate(value)]

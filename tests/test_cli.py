@@ -851,6 +851,10 @@ def fail_if_called(monkeypatch):
         ("solve", "estimate", {"csv": "no_such.csv", "start": "2020-13-06"},
          "estimate.start must be YYYY-MM-DD"),
         ("solve", "estimate", {"csv": "no_such.csv", "y0": -1.0}, "y0"),
+        ("solve", "estimate", {"csv": "no_such.csv", "start": None},
+         "estimate.start must be a string"),
+        ("solve", "estimate", {"csv": "no_such.csv", "end": ""},
+         "estimate.end must be YYYY-MM-DD"),
         ("upgrade", "monitor", {"prices_csv": "no_such.csv", "columns": 5},
          "monitor.columns"),
         ("surface", "plant", {"M": "x", "Q": 1}, "unknown key 'Q' in plant"),
@@ -861,7 +865,8 @@ def fail_if_called(monkeypatch):
          "monitor.columns.date must be a string"),
     ],
     ids=["solver-unknown-key", "plant-text", "unread-surface-text", "estimate-bad-date",
-         "estimate-bad-y0", "unread-monitor-columns", "unread-plant-unknown-key",
+         "estimate-bad-y0", "estimate-null-start", "estimate-empty-end",
+         "unread-monitor-columns", "unread-plant-unknown-key",
          "unread-plant-text", "unread-plant-missing-key", "unread-monitor-unknown-key",
          "monitor-columns-text"],
 )
