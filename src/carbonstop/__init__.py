@@ -31,7 +31,6 @@ from .solver import (
     default_price_grid,
     extract_boundary,
     geometric_price_grid,
-    smooth_boundary,
     solve_backward,
     solve_boundary,
     value_at,

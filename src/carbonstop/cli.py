@@ -33,10 +33,12 @@ from .market_data import (
     DEFAULT_COLUMNS, estimate_gbm, load_price_csv, log_returns, split_at,
 )
 from .plant import PlantParams, Upgrade
-from .scenario import apply_upgrade, min_survival_p, monitor, surface
+from .scenario import (
+    apply_upgrade, check_upgrade_day, min_survival_p, monitor, p_levels, surface,
+)
 from .solver import (
-    MAX_LATTICE_NODES, SMOOTH_METHODS, SolverConfig, TimeGrid, geometric_price_grid,
-    smooth_boundary, solve_boundary, time_index,
+    MAX_LATTICE_NODES, SolverConfig, TimeGrid, check_lattice_nodes, geometric_price_grid,
+    solve_boundary, time_index,
 )
 
 # The exit code of each error a command may raise; 0 is success.
@@ -59,8 +61,7 @@ FORMAT = {
     "plant": {"M": NUMBER, "P": NUMBER, "T": NUMBER,
               "upgrade": dict.fromkeys(("day", "P_new", "M_new"), NUMBER)},
     "solver": {"samples": INTEGER, "grid": INTEGER, "seed": INTEGER,
-               "stop_tol_scale": NUMBER, "smooth": STRING, "grid_min": NUMBER,
-               "grid_max": NUMBER},
+               "stop_tol_scale": NUMBER, "grid_min": NUMBER, "grid_max": NUMBER},
     "monitor": {"prices_csv": STRING, "columns": COLUMNS, "prices": AS_IS},
     "surface": {"T": NUMBER, "p_values": NUMBERS, **dict.fromkeys(P_RANGE, NUMBER),
                 "survival_query": {"t": NUMBER, "y": NUMBER}},
@@ -178,9 +179,9 @@ def _required(block: dict, key: str, path: str = ""):
     return block[key]
 
 
-def _plant(config: dict, upgrades: bool = False) -> PlantParams:
-    """The plant, with constant (M, P); only a command that `upgrades` takes,
-    and needs, an `upgrade` block."""
+def _plant(config: dict, solver_config: SolverConfig, upgrades: bool = False) -> PlantParams:
+    """The plant, with constant (M, P) and a lattice within MAX_LATTICE_NODES;
+    only a command that `upgrades` takes, and needs, an `upgrade` block."""
     block = _required(config, "plant")
     if "upgrade" in block and not upgrades:
         raise ConfigError(
@@ -189,7 +190,9 @@ def _plant(config: dict, upgrades: bool = False) -> PlantParams:
         )
     if upgrades and "upgrade" not in block:
         raise ConfigError("plant config has no 'upgrade' block")
-    return PlantParams(block["M"], block["P"], block["T"])
+    plant = PlantParams(block["M"], block["P"], block["T"])
+    check_lattice_nodes(TimeGrid(plant.horizon), solver_config.grid_size)
+    return plant
 
 
 def _window(start, end, prefix: str) -> list:
@@ -239,9 +242,9 @@ def _gbm_loader(config: dict):
     return load
 
 
-def _solver_config(config: dict, **flags: int | None) -> tuple[SolverConfig, str]:
-    """The SolverConfig and smoothing method of the config's `solver` block,
-    with the `flags` that are given (not None) in place of its values."""
+def _solver_config(config: dict, **flags: int | None) -> SolverConfig:
+    """The SolverConfig of the config's `solver` block, with the `flags` that
+    are given (not None) in place of its values."""
     block = dict(config.get("solver", {}))
     block.update((key, flag) for key, flag in flags.items() if flag is not None)
     if ("grid_min" in block) != ("grid_max" in block):
@@ -257,10 +260,7 @@ def _solver_config(config: dict, **flags: int | None) -> tuple[SolverConfig, str
         lo, hi = block["grid_min"], block["grid_max"]
         price_grid = geometric_price_grid(lo, hi, solver_config.grid_size)
         solver_config = replace(solver_config, price_grid=price_grid)
-    smooth = block.get("smooth", "none")
-    if smooth not in SMOOTH_METHODS:
-        raise ConfigError(f"unknown solver.smooth method {smooth!r}")
-    return solver_config, smooth
+    return solver_config
 
 
 def _summary_writer(boundary, solver_config, elapsed):
@@ -281,14 +281,13 @@ def main():
     """Production-halt boundary solver for carbon-constrained plants."""
 
 
-def config_command(name: str, smooths: bool = False):
+def config_command(name: str):
     """Register `body` as the config-driven command `name`.
 
     The command takes --config, --seed, --out, --samples and --grid, checks
-    the config and calls `body(config, load_gbm, solver_config, smooth,
-    out_dir)`; `body` makes its own checks before `load_gbm()`, which may
-    read a price file.  Errors exit with their EXIT_CODES.  A command that
-    does not `smooth` refuses a `solver.smooth` other than "none".
+    the config and calls `body(config, load_gbm, solver_config, out_dir)`;
+    `body` makes its own checks before `load_gbm()`, which may read a price
+    file.  Errors exit with their EXIT_CODES.
     """
     def register(body):
         @main.command(name, help=body.__doc__)
@@ -304,14 +303,7 @@ def config_command(name: str, smooths: bool = False):
         @handle_errors
         def command(config_path, out_dir, **flags):  # flags: seed, samples, grid
             config = _load_config(config_path)
-            load_gbm = _gbm_loader(config)
-            solver_config, smooth = _solver_config(config, **flags)
-            if smooth != "none" and not smooths:
-                raise ConfigError(
-                    f"solver.smooth {smooth!r} applies only to solve; "
-                    f"{name} uses the unsmoothed boundary"
-                )
-            body(config, load_gbm, solver_config, smooth, out_dir)
+            body(config, _gbm_loader(config), _solver_config(config, **flags), out_dir)
 
         return command
 
@@ -332,14 +324,12 @@ def estimate(csv_path, date_column, price_column, start, end):
     click.echo(json.dumps(asdict(est), indent=2, sort_keys=True))
 
 
-@config_command("solve", smooths=True)
-def solve(config, load_gbm, solver_config, smooth, out_dir):
+@config_command("solve")
+def solve(config, load_gbm, solver_config, out_dir):
     """Solve the halt boundary; writes boundary.csv and summary.json."""
-    plant = _plant(config)
+    plant = _plant(config, solver_config)
     gbm = load_gbm()
-    boundary, elapsed = _timed(lambda: smooth_boundary(
-        solve_boundary(gbm, plant, solver_config)[1], method=smooth
-    ))
+    (_, boundary), elapsed = _timed(lambda: solve_boundary(gbm, plant, solver_config))
     _write_outputs(out_dir, {
         "boundary.csv": boundary.to_csv,
         "summary.json": _summary_writer(boundary, solver_config, elapsed),
@@ -347,9 +337,9 @@ def solve(config, load_gbm, solver_config, smooth, out_dir):
 
 
 @config_command("monitor")
-def monitor_cmd(config, load_gbm, solver_config, _, out_dir):
+def monitor_cmd(config, load_gbm, solver_config, out_dir):
     """Solve the boundary and test daily prices against it; writes monitor.json."""
-    plant = _plant(config)
+    plant = _plant(config, solver_config)
     block = _required(config, "monitor")
     if ("prices_csv" in block) == ("prices" in block):
         raise ConfigError("monitor config needs exactly one of 'prices_csv' or 'prices'")
@@ -365,11 +355,12 @@ def monitor_cmd(config, load_gbm, solver_config, _, out_dir):
 
 
 @config_command("upgrade")
-def upgrade_cmd(config, load_gbm, solver_config, _, out_dir):
+def upgrade_cmd(config, load_gbm, solver_config, out_dir):
     """Solve before/after/composite boundaries around a plant upgrade."""
-    plant = _plant(config, upgrades=True)
+    plant = _plant(config, solver_config, upgrades=True)
     block = config["plant"]["upgrade"]
     upgrade = Upgrade(block["day"], block["P_new"], block["M_new"])
+    check_upgrade_day(plant, upgrade)
     gbm = load_gbm()
     (before, after, composite), elapsed = _timed(
         lambda: apply_upgrade(gbm, plant, upgrade, solver_config)
@@ -383,7 +374,7 @@ def upgrade_cmd(config, load_gbm, solver_config, _, out_dir):
 
 
 @config_command("surface")
-def surface_cmd(config, load_gbm, solver_config, _, out_dir):
+def surface_cmd(config, load_gbm, solver_config, out_dir):
     """Sweep unit-profit levels into a stopping surface B(t, p)."""
     block = _required(config, "surface")
     time_grid = TimeGrid(block["T"])
@@ -405,8 +396,10 @@ def surface_cmd(config, load_gbm, solver_config, _, out_dir):
             f"{key} gives {count:.6g} P levels over {time_grid.n_steps + 1} times: "
             f"{nodes:.6g} surface nodes, more than MAX_LATTICE_NODES = {MAX_LATTICE_NODES}"
         )
+    check_lattice_nodes(time_grid, solver_config.grid_size)
     if "p_values" not in block:
-        p_values = np.arange(start, stop + 1e-9, step).tolist()
+        p_values = np.arange(start, stop + 1e-9, step)
+    p_values = p_levels(p_values)
     query = block.get("survival_query")
     if query is not None:
         t, y = query["t"], query["y"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ def simulate_path(
 ) -> np.ndarray:
     """Prices y0, Y_dt, ..., Y_{steps*dt} of `steps` exact GBM transitions.
 
-    The same (params, steps, dt, seed) always yields the identical path.
+    The same (params, steps, dt, seed) always yields the identical path.  A
+    path that underflows to 0 or overflows to inf is a NumericError.
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
@@ -81,4 +82,10 @@ def simulate_path(
     mean, sd = params.log_increment(dt)
     increments = mean + sd * z
     log_path = math.log(params.y0) + np.concatenate([[0.0], np.cumsum(increments)])
-    return np.exp(log_path)
+    with np.errstate(over="ignore"):  # refused below, naming the step
+        path = np.exp(log_path)
+    bad = np.flatnonzero(~(path > 0) | np.isinf(path))
+    if len(bad):
+        i = bad[0]
+        raise NumericError(f"price at step {i} is {path[i]}, not a positive finite float")
+    return path

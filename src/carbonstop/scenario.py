@@ -103,6 +103,15 @@ def _solve_shared(
     return [solve_boundary(gbm, pl, config, draws)[1] for pl in plants]
 
 
+def check_upgrade_day(plant: PlantParams, upgrade: Upgrade) -> None:
+    """Refuse an upgrade that takes effect after the plant's horizon."""
+    if upgrade.effective_day > plant.horizon:
+        raise ConfigError(
+            f"upgrade effective day {upgrade.effective_day} must lie in "
+            f"[0, T={plant.horizon}]"
+        )
+
+
 def apply_upgrade(
     gbm: GbmParams,
     plant: PlantParams,
@@ -115,17 +124,13 @@ def apply_upgrade(
     composite stitches them at the effective day, matching the half-solid /
     half-dash presentation of an upgrade event.
     """
-    switch = upgrade.effective_day
-    if switch > plant.horizon:
-        raise ConfigError(
-            f"upgrade effective day {switch} must lie in [0, T={plant.horizon}]"
-        )
+    check_upgrade_day(plant, upgrade)
     after_plant = PlantParams(
         upgrade.new_emission_rate, upgrade.new_unit_profit, plant.horizon
     )
     before, after = _solve_shared(gbm, [plant, after_plant], config)
 
-    take = before.times >= switch
+    take = before.times >= upgrade.effective_day
     composite = Boundary(
         times=before.times,
         values=np.where(take, after.values, before.values),
@@ -166,6 +171,15 @@ class SurfaceGrid:
         )
 
 
+def p_levels(p_values) -> np.ndarray:
+    """The swept unit-profit levels, sorted; a ConfigError unless they are
+    nonempty, positive and distinct."""
+    p_values = np.asarray(sorted(p_values), dtype=float)
+    if not len(p_values) or not np.all(p_values > 0) or np.any(np.diff(p_values) == 0):
+        raise ConfigError("p_values must be nonempty, positive and distinct")
+    return p_values
+
+
 def surface(
     gbm: GbmParams,
     horizon: float,
@@ -177,9 +191,7 @@ def surface(
     The boundary does not depend on the emission rate, so every level is
     solved with M = 1.
     """
-    p_values = np.asarray(sorted(p_values), dtype=float)
-    if not len(p_values) or not np.all(p_values > 0) or np.any(np.diff(p_values) == 0):
-        raise ConfigError("p_values must be nonempty, positive and distinct")
+    p_values = p_levels(p_values)
     plants = [
         PlantParams(emission_rate=1.0, unit_profit=float(p), horizon=horizon)
         for p in p_values

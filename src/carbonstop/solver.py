@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
@@ -40,7 +40,6 @@ from .plant import PlantParams, immediate_value, lower_bound
 
 FOUND = "FOUND"
 ABOVE_GRID = "ABOVE_GRID"
-SMOOTH_METHODS = ("none", "isotonic", "moving-average")
 
 DEFAULT_SAMPLES = 2000
 DEFAULT_GRID_SIZE = 200
@@ -227,9 +226,8 @@ class ValueGrid:
 class Boundary:
     """Free boundary b(t) extracted per grid time.
 
-    `values` is +inf where no grid level stops (status ABOVE_GRID).
-    `lower_bounds` carries the continuation-guarantee level so the boundary
-    can be floored without re-deriving parameters.
+    `values` is +inf where no grid level stops (status ABOVE_GRID), and
+    `lower_bounds` holds the continuation guarantee P*exp(-mu*(T - t)).
     """
 
     times: np.ndarray
@@ -362,6 +360,18 @@ class SliceDraws:
         return stencil
 
 
+def check_lattice_nodes(time_grid: TimeGrid, grid_size: int) -> None:
+    """Refuse a lattice of more than MAX_LATTICE_NODES nodes, the grid's
+    times by `grid_size + 1` price levels, without building any of it."""
+    nodes = float(time_grid.n_steps + 1) * (grid_size + 1)  # inf past the floats
+    if nodes > MAX_LATTICE_NODES:
+        raise ConfigError(
+            f"T={time_grid.horizon:g} at delta={time_grid.delta:g} with grid size "
+            f"{grid_size} makes {nodes:.6g} lattice nodes, more than "
+            f"MAX_LATTICE_NODES = {MAX_LATTICE_NODES}"
+        )
+
+
 def solve_backward(
     gbm: GbmParams,
     plant: PlantParams,
@@ -393,13 +403,7 @@ def solve_backward(
     if abs(time_grid.horizon - plant.horizon) > 1e-9:
         raise ConfigError("time grid horizon must match the plant horizon")
     grid = config.resolve_grid(gbm, plant)
-    nodes = float(time_grid.n_steps + 1) * len(grid.levels)  # inf past the floats
-    if nodes > MAX_LATTICE_NODES:
-        raise ConfigError(
-            f"T={time_grid.horizon:g} at delta={time_grid.delta:g} with grid size "
-            f"{len(grid.levels) - 1} makes {nodes:.6g} lattice nodes, more than "
-            f"MAX_LATTICE_NODES = {MAX_LATTICE_NODES}"
-        )
+    check_lattice_nodes(time_grid, len(grid.levels) - 1)
     own = SliceDraws(gbm, config, grid, time_grid)
     if draws is None:
         draws = own
@@ -505,53 +509,3 @@ def value_at(grid: ValueGrid, t: float, y: float) -> tuple[float, float, float]:
         float(np.interp(y, levels, a)) for a in (u, grid.emission_rate * u + g, g)
     )
 
-
-def smooth_boundary(boundary: Boundary, method: str = "none") -> Boundary:
-    """Optional smoothing of a raw boundary.
-
-    Methods: "none" (identity), "isotonic" (pool-adjacent-violators
-    projection onto monotone curves, direction chosen by the endpoints),
-    "moving-average" (centred 3-point mean, shrinking at the edges).
-    Smoothed values are floored at the continuation lower bound and the
-    terminal value is kept as extracted.
-    """
-    if method not in SMOOTH_METHODS:
-        raise ConfigError(f"unknown smoothing method {method!r}")
-    if method == "none":
-        return boundary
-
-    mask = boundary.found_mask()
-    if mask.sum() < 3:
-        raise NumericError("need at least 3 FOUND boundary points to smooth")
-    vals = boundary.values[mask]
-
-    if method == "isotonic":
-        smoothed = _pava(vals) if vals[-1] >= vals[0] else _pava(vals[::-1])[::-1]
-    else:  # moving-average
-        smoothed = np.array(
-            [vals[max(0, k - 1) : k + 2].mean() for k in range(len(vals))]
-        )
-
-    smoothed = np.maximum(smoothed, boundary.lower_bounds[mask])
-    smoothed[-1] = vals[-1]
-
-    new_values = boundary.values.copy()
-    new_values[mask] = smoothed
-    return replace(boundary, values=new_values)
-
-
-def _pava(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators: least-squares nondecreasing fit."""
-    merged: list[list[float]] = []
-    for v in y:
-        merged.append([float(v), 1])
-        while len(merged) > 1 and merged[-2][0] > merged[-1][0]:
-            v2, n2 = merged.pop()
-            v1, n1 = merged.pop()
-            merged.append([(v1 * n1 + v2 * n2) / (n1 + n2), n1 + n2])
-    out = np.empty(len(y))
-    pos = 0
-    for v, n in merged:
-        out[pos : pos + n] = v
-        pos += n
-    return out

@@ -302,47 +302,6 @@ def test_solve_above_grid_writes_blank_rows(runner, tmp_path):
     assert summary["above_grid_times"] == len(rows)
 
 
-def test_solve_with_smoothing(runner, tmp_path):
-    payload = base_config()
-    payload["solver"]["smooth"] = "isotonic"
-    config = write_config(tmp_path, payload)
-    result = runner.invoke(
-        main, ["solve", "--config", config, "--out", str(tmp_path / "sm")]
-    )
-    assert result.exit_code == 0, result.output
-
-
-@pytest.mark.parametrize("method", ["spline", 5, None])
-def test_unknown_smooth_method_exits_before_solving(runner, tmp_path, monkeypatch, method):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the lattice was solved before solver.smooth was checked")
-
-    monkeypatch.setattr(cli, "solve_boundary", no_solve)
-    payload = base_config()
-    payload["solver"]["smooth"] = method
-    result = runner.invoke(main, ["solve", "--config", write_config(tmp_path, payload)])
-    assert_config_error(result)
-    assert "solver.smooth" in result.output
-
-
-@pytest.mark.parametrize("command", ["monitor", "upgrade", "surface"])
-def test_smooth_refused_where_nothing_smooths(runner, tmp_path, monkeypatch, command):
-    # only solve applies solver.smooth; the others would silently use the
-    # unsmoothed boundary
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the lattice was solved before solver.smooth was checked")
-
-    for name in ("solve_boundary", "apply_upgrade", "surface"):
-        monkeypatch.setattr(cli, name, no_solve)
-    payload = CONFIGS[command]()
-    payload["solver"]["smooth"] = "isotonic"
-    if command == "monitor":
-        payload["monitor"] = {"prices": [1.0, 2.0]}
-    result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
-    assert_config_error(result)
-    assert "solver.smooth" in result.output
-
-
 DESCRIPTIONS = {
     "solve": "Solve the halt boundary; writes boundary.csv and summary.json.",
     "monitor": "Solve the boundary and test daily prices against it; writes monitor.json.",
@@ -556,6 +515,7 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
         ("surface", ("gbm",), "sigma", 1e200),
         ("solve", ("solver",), "sampels", 4000),
         ("solve", ("solver",), "smoth", "isotonic"),
+        ("solve", ("solver",), "smooth", "isotonic"),
         ("solve", ("gbm",), "sigm", 0.0603),
         ("solve", ("plant",), "Q", 1.0),
         ("upgrade", ("plant", "upgrade"), "dday", 20),
@@ -582,7 +542,8 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
          "solver.grid-fraction", "solver.seed-fraction", "solver.seed-bool",
          "solver.samples-over-cap", "solver.samples-1e300", "solver.grid-over-cap",
          "solver.grid-1e300", "solve-gbm.sigma-1e200", "surface-gbm.sigma-1e200",
-         "solver.sampels-unknown", "solver.smoth-unknown", "gbm.sigm-unknown",
+         "solver.sampels-unknown", "solver.smoth-unknown",
+         "solver.smooth-unknown", "gbm.sigm-unknown",
          "plant.Q-unknown", "upgrade.dday-unknown", "surface.p_stpe-unknown",
          "survival_query.z-unknown", "solvr-unknown", "estimate.columns-number",
          "estimate.columns-list", "estimate.columns-unknown-key",
@@ -594,7 +555,7 @@ def test_non_number_in_numeric_field_exits_2(runner, tmp_path, field, value):
 )
 def test_bad_config_value_exits_2(runner, tmp_path, command, path, key, value):
     config = write_config(tmp_path, set_field(command, path, key, value))
-    result = runner.invoke(main, [command, "--config", config])
+    result = runner.invoke(main, [command, "--config", config, "--out", str(tmp_path)])
     assert_config_error(result)
     assert key in result.output
 
@@ -842,6 +803,11 @@ def fail_if_called(monkeypatch):
         monkeypatch.setattr(cli, name, untouched)
 
 
+LATTICE_CAP = "T=1e+12 at delta=1 with grid size 60 makes"
+UPGRADE = {"day": 60, "P_new": 17.2, "M_new": 0.012}
+P_LIST = "p_values must be nonempty, positive and distinct"
+
+
 @pytest.mark.parametrize(
     "command, section, block, message",
     [
@@ -863,12 +829,27 @@ def fail_if_called(monkeypatch):
         ("surface", "monitor", {"prices": "abc", "zzz": 1}, "unknown key 'zzz' in monitor"),
         ("monitor", "monitor", {"prices_csv": "no_such.csv", "columns": {"date": 1}},
          "monitor.columns.date must be a string"),
+        ("surface", "solver", {"smooth": "isotonic"}, "unknown key 'smooth' in solver"),
+        ("solve", "plant", {"M": 0.014, "P": 14.7, "T": 1e12}, LATTICE_CAP),
+        ("monitor", "plant", {"M": 0.014, "P": 14.7, "T": 1e12}, LATTICE_CAP),
+        ("upgrade", "plant", {"M": 0.014, "P": 14.7, "T": 1e12, "upgrade": UPGRADE},
+         LATTICE_CAP),
+        ("solve", "plant", {"M": 0.014, "P": 14.7, "T": 49.5},
+         "horizon 49.5 is not a positive multiple of delta 1.0"),
+        ("upgrade", "plant", {"M": 0.014, "P": 14.7, "T": 49, "upgrade": UPGRADE},
+         "upgrade effective day 60.0 must lie in [0, T=49.0]"),
+        ("surface", "surface", {"T": 10, "p_values": []}, P_LIST),
+        ("surface", "surface", {"T": 10, "p_values": [-1, 5]}, P_LIST),
+        ("surface", "surface", {"T": 10, "p_values": [5, 5]}, P_LIST),
     ],
     ids=["solver-unknown-key", "plant-text", "unread-surface-text", "estimate-bad-date",
          "estimate-bad-y0", "estimate-null-start", "estimate-empty-end",
          "unread-monitor-columns", "unread-plant-unknown-key",
          "unread-plant-text", "unread-plant-missing-key", "unread-monitor-unknown-key",
-         "monitor-columns-text"],
+         "monitor-columns-text", "solver-smooth", "solve-lattice-cap",
+         "monitor-lattice-cap", "upgrade-lattice-cap", "solve-horizon-off-grid",
+         "upgrade-day-after-horizon", "surface-no-p", "surface-negative-p",
+         "surface-repeated-p"],
 )
 def test_whole_config_checked_before_any_file(runner, tmp_path, monkeypatch, command,
                                               section, block, message):
@@ -903,8 +884,12 @@ def test_estimate_checks_the_window_before_the_file(runner):
         ({"T": 1e12, "p_values": [10, 20]}, "surface.p_values"),
         ({"T": 1e12, "p_values": [10], "survival_query": {"t": 0, "y": 45}},
          "surface.p_values"),
+        # within the sweep cap, but not its lattice of 6e7 times by 61 levels
+        ({"T": 6e7, "p_values": [10], "survival_query": {"t": 0, "y": 45}},
+         "T=6e+07 at delta=1 with grid size 60 makes"),
     ],
-    ids=["tiny-step", "subnormal-step", "long-horizon", "long-horizon-query"],
+    ids=["tiny-step", "subnormal-step", "long-horizon", "long-horizon-query",
+         "lattice-over-cap-query"],
 )
 def test_surface_over_the_node_cap_exits_2(runner, tmp_path, monkeypatch, block, message):
     def not_built(*args, **kwargs):

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from carbonstop import ConfigError, GbmParams, Seed, simulate_path
+from carbonstop import ConfigError, GbmParams, NumericError, Seed, simulate_path
 
 
 def test_params_validation():
@@ -75,3 +76,16 @@ def test_simulate_path_zero_vol_is_exponential():
 def test_simulate_path_rejects_zero_steps():
     with pytest.raises(ConfigError):
         simulate_path(GbmParams(1.0, 0.0, 0.1), steps=0)
+
+
+@pytest.mark.parametrize(
+    "mu, step, price", [(-0.0020, 198243, "0.0"), (0.01, 87242, "inf")],
+    ids=["underflow", "overflow"],
+)
+def test_simulate_path_refuses_zero_and_infinite_prices(mu, step, price):
+    # table 1's sigma over 200000 steps; its drift, or mu = 0.01, carries the
+    # log price out of the floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=rf"step {step} is {price}, not a positive"):
+            simulate_path(GbmParams(21.43, mu, 0.0603), steps=200000, seed=Seed(7))

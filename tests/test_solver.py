@@ -25,7 +25,6 @@ from carbonstop import (
     geometric_price_grid,
     immediate_value,
     lower_bound,
-    smooth_boundary,
     solve_backward,
     solve_boundary,
     surface,
@@ -37,7 +36,6 @@ from carbonstop.solver import (
     MAX_LATTICE_NODES,
     MAX_SAMPLES,
     SliceDraws,
-    _pava,
     _Stencil,
     stop_tolerance,
 )
@@ -406,6 +404,10 @@ def test_solve_keeps_about_one_lattice_beside_its_result():
     # put the peak near three times U.
     gbm = GbmParams(21.43, -0.0020, 0.0603)
     plant = PlantParams(0.014, 14.7, 246)
+    # numpy imports numpy.random (and with it secrets, hashlib, ...) on first
+    # use; do that before tracing, so that a first solve in the process
+    # measures the solve and not the import.
+    Seed(0).stream(0)
     tracemalloc.start()
     try:
         grid = solve_backward(gbm, plant)
@@ -415,7 +417,7 @@ def test_solve_keeps_about_one_lattice_beside_its_result():
     assert peak <= 2.5 * grid.U.nbytes
 
 
-# --- value queries and smoothing -----------------------------------------
+# --- value queries -------------------------------------------------------
 
 
 def test_value_at():
@@ -430,33 +432,6 @@ def test_value_at():
         value_at(grid, 0.3, float(levels[10]))
     with pytest.raises(NumericError):
         value_at(grid, 0.0, float(levels[-1]) * 2)
-
-
-def test_pava():
-    out = _pava(np.array([1.0, 3.0, 2.0, 4.0]))
-    assert np.allclose(out, [1.0, 2.5, 2.5, 4.0])
-    assert (np.diff(out) >= 0).all()
-
-
-def test_smooth_boundary_methods():
-    gbm, plant, config = small_case()
-    _, boundary = solve_boundary(gbm, plant, config)
-
-    assert smooth_boundary(boundary, "none") is boundary
-
-    iso = smooth_boundary(boundary, "isotonic")
-    vals = iso.values[iso.found_mask()]
-    diffs = np.diff(vals[:-1])  # terminal point is pinned, exclude it
-    assert (diffs <= 1e-9).all() or (diffs >= -1e-9).all()
-    assert (iso.values >= iso.lower_bounds - 1e-9).all()
-    assert iso.values[-1] == boundary.values[-1]
-
-    ma = smooth_boundary(boundary, "moving-average")
-    assert ma.values[-1] == boundary.values[-1]
-    assert (ma.values >= ma.lower_bounds - 1e-9).all()
-
-    with pytest.raises(ConfigError):
-        smooth_boundary(boundary, "spline")
 
 
 # --- expectation operator -------------------------------------------------
