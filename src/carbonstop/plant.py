@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import exp
 
 from .errors import ConfigError
 from .gbm import GbmParams
@@ -64,11 +65,11 @@ def immediate_value(plant: PlantParams, gbm: GbmParams, t: float, y: float) -> f
 
     Closed form: M*P*t + M*y*exp(mu*(T - t))*(T - t).
     """
-    if not (0 <= t <= plant.horizon):
+    if not (0.0 <= t <= plant.horizon):
         raise ConfigError(f"t={t} outside [0, {plant.horizon}]")
     m, p = plant.emission_rate, plant.unit_profit
     remaining = plant.horizon - t
-    return m * p * t + m * y * math.exp(gbm.mu * remaining) * remaining
+    return m * p * t + m * y * exp(gbm.mu * remaining) * remaining
 
 
 def lower_bound(plant: PlantParams, gbm: GbmParams, t: float) -> float:

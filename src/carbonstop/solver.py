@@ -273,15 +273,24 @@ class _Stencil(NamedTuple):
 
     @classmethod
     def build(cls, log_factors: np.ndarray, log_step: float, n: int) -> "_Stencil":
-        # Beyond n cells every index clips to the same edge, whatever the weight.
-        shift = np.clip(log_factors / log_step, -n, n)
-        offsets = np.floor(shift)
-        w = np.expm1((shift - offsets) * log_step) / math.expm1(log_step)
-        lo, hi = int(offsets.min()), int(offsets.max())
-        bins = offsets.astype(np.intp) - lo
+        # One new buffer carries the shift, its fraction and w.  Beyond n
+        # cells every index clips to the same edge, whatever the weight.
+        w = np.divide(log_factors, log_step)
+        np.minimum(np.maximum(w, -n, out=w), n, out=w)
+        offsets = np.floor(w)
+        w -= offsets
+        w *= log_step
+        np.expm1(w, out=w)
+        w /= math.expm1(log_step)
+        lo, hi = int(np.minimum.reduce(offsets)), int(np.maximum.reduce(offsets))
         width = hi - lo + 2
-        weights = np.bincount(bins, 1.0 - w, width) + np.bincount(bins + 1, w, width)
-        return cls(lo, bins.astype(np.min_scalar_type(width)), w, weights)
+        offsets -= lo
+        bins = offsets.astype(np.min_scalar_type(width))
+        # Bin m's upper weight belongs to bin m + 1: the same terms, summed in
+        # the same order, as a bincount of bins + 1.
+        weights = np.bincount(bins, 1.0 - w, width)
+        weights[1:] += np.bincount(bins, w, width)[:-1]
+        return cls(lo, bins, w, weights)
 
     @property
     def nbytes(self) -> int:
@@ -298,22 +307,26 @@ class _Stencil(NamedTuple):
         sign gets an exact correction.
         """
         n, lo, width = len(C), self.lo, len(self.weights)
-        pos = np.maximum(C, 0.0)
         left, right = max(0, -lo), max(0, lo + width - 1)
-        padded = np.concatenate([np.full(left, pos[0]), pos, np.full(right, pos[-1])])
+        padded = np.empty(left + n + right)
+        np.maximum(C, 0.0, out=padded[left : left + n])
+        padded[:left] = padded[left]
+        padded[left + n :] = padded[left + n - 1]
         total = np.correlate(padded, self.weights, "valid")[lo + left : lo + left + n]
         # In a cell where C changes sign the blend of C+ exceeds max(0, blend
-        # of C) by min(w |C[i+1]|, (1 - w) |C[i]|); level j reaches cell i at
-        # offset i - j.  The signs are compared, not C[i] * C[i+1], which
-        # overflows for |C| above about 1e154.
+        # of C) by min(w |C[i+1]|, (1 - w) |C[i]|); level j in [0, n) reaches
+        # cell i at offset k = i - lo - j in [a, b].  The signs are compared,
+        # not C[i] * C[i+1], which overflows for |C| above about 1e154.
         w = self.w
         sign = np.sign(C)
-        for i in (sign[:-1] * sign[1:] < 0).nonzero()[0]:
-            excess = np.minimum(w * abs(C[i + 1]), (1.0 - w) * abs(C[i]))
-            j = i - lo - np.arange(width - 1)
-            inside = (j >= 0) & (j < n)
-            total[j[inside]] -= np.bincount(self.bins, excess, width - 1)[inside]
-        return total / len(w)
+        for i in (sign[:-1] * sign[1:] < 0).nonzero()[0].tolist():
+            a, b = max(0, i - lo - n + 1), min(width - 2, i - lo)
+            if a <= b:
+                excess = np.minimum(w * abs(C[i + 1]), (1.0 - w) * abs(C[i]))
+                binned = np.bincount(self.bins, excess, width - 1)
+                total[i - lo - b : i - lo - a + 1] -= binned[a : b + 1][::-1]
+        total /= len(w)
+        return total
 
 
 class SliceDraws:
@@ -353,7 +366,9 @@ class SliceDraws:
         if stencil is None:
             seed, samples, (drift, vol), log_step, n = self.key
             z = seed.stream(i).standard_normal(samples)
-            stencil = _Stencil.build(drift + vol * z, log_step, n)
+            z *= vol
+            z += drift
+            stencil = _Stencil.build(z, log_step, n)
             if stencil.nbytes <= self._room:
                 self._kept[i] = stencil
                 self._room -= stencil.nbytes
@@ -432,12 +447,16 @@ def solve_backward(
         # overshoot at that kink and bias the boundary upward by several
         # grid cells.
         C = np.zeros(len(levels))
+        running = np.empty(len(levels))
+        rem = remaining.tolist()
         for i in range(time_grid.n_steps - 1, -1, -1):
-            cont = draws[i].expected_positive_part(C)
-            running = delta * (p - levels * math.exp(gbm.mu * remaining[i]))
-            C = cont + running
-            U[i] = np.maximum(0.0, C)
-            if not np.all(np.isfinite(U[i])):
+            C = draws[i].expected_positive_part(C)
+            np.multiply(levels, math.exp(gbm.mu * rem[i]), out=running)
+            np.subtract(p, running, out=running)
+            running *= delta
+            C += running
+            # U[i] >= 0 and NaN propagates: a finite maximum means a finite row.
+            if not np.maximum.reduce(np.maximum(0.0, C, out=U[i])) < math.inf:
                 raise NumericError(f"non-finite values in slice t={times[i]}")
 
     G = np.empty_like(U)

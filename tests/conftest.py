@@ -1,6 +1,19 @@
+import os
+
 import pytest
 
 from carbonstop import GbmParams, PlantParams, Upgrade
+
+
+@pytest.fixture(scope="session", autouse=True)
+def scratch_working_directory(tmp_path_factory):
+    """Run the tests from a scratch directory, so that a command that writes
+    to the working directory (a CLI run without --out) leaves the checkout
+    as it is.  Session scope: hypothesis refuses function-scoped fixtures."""
+    checkout = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("cwd"))
+    yield
+    os.chdir(checkout)
 
 
 @pytest.fixture

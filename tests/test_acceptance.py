@@ -184,6 +184,55 @@ def test_criterion_3_oracle_equivalence(table2):
     )
 
 
+def test_extracted_boundary_is_the_best_policy_on_fresh_paths(table1):
+    """The extracted b(t) run forward as a stopping rule under the GBM.
+
+    On each fresh path, halt at the first t with Y_t >= b(t) and earn
+    M*P*t + M*Y_t*exp(mu*(T - t))*(T - t); a path that never halts earns
+    M*P*T.  Any policy's mean is a lower bound on the optimal value, so the
+    boundary's must lie within 3 SE of the lattice's V(0, y0), and the same
+    boundary scaled by 0.8, 1.25 or 2 must earn less on the same paths, by
+    more than 3 paired SE.
+    """
+    gbm, plant = table1
+    grid, boundary = solve_boundary(gbm, plant, SolverConfig(samples_per_node=8000))
+    v0 = value_at(grid, 0.0, gbm.y0)[1]
+    m, p, n_steps = plant.emission_rate, plant.unit_profit, int(plant.horizon)
+    times = boundary.times
+    remaining = plant.horizon - times
+    per_price = m * np.exp(gbm.mu * remaining) * remaining
+    drift, vol = gbm.log_increment(1.0)
+    scales = (1.0, 0.8, 1.25, 2.0)
+    earned = {scale: [] for scale in scales}
+    # 10 000 paths from streams the solver never draws, in chunks of 5 MB
+    for chunk in range(4):
+        steps = drift + vol * Seed(2021).stream(chunk).standard_normal((2500, n_steps))
+        paths = np.empty((2500, n_steps + 1))
+        paths[:, 0] = 0.0
+        np.cumsum(steps, axis=1, out=paths[:, 1:])
+        paths = gbm.y0 * np.exp(paths)
+        rows = np.arange(len(paths))
+        for scale in scales:
+            halts = paths >= scale * boundary.values
+            t = np.argmax(halts, axis=1)
+            halt_value = m * p * times[t] + paths[rows, t] * per_price[t]
+            earned[scale].append(np.where(halts.any(axis=1), halt_value, m * p * n_steps))
+    earned = {scale: np.concatenate(values) for scale, values in earned.items()}
+
+    def mean_and_se(values):
+        return values.mean(), values.std(ddof=1) / math.sqrt(len(values))
+
+    mean, se = mean_and_se(earned[1.0])
+    gaps = {scale: mean_and_se(earned[1.0] - earned[scale]) for scale in scales[1:]}
+    ok = abs(mean - v0) <= 3 * se and all(gap > 3 * se for gap, se in gaps.values())
+    report(
+        "out-of-sample policy",
+        ok,
+        f"policy {mean:.3f} +- {se:.3f} vs V(0, y0) {v0:.3f}; gaps "
+        + ", ".join(f"x{s}: {gap:.3f} +- {se:.3f}" for s, (gap, se) in gaps.items()),
+    )
+
+
 def test_criterion_4_zero_volatility_closed_form(table1):
     gbm_base, plant = table1
     gbm = GbmParams(gbm_base.y0, gbm_base.mu, 0.0)

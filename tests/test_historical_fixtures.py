@@ -30,7 +30,7 @@ from carbonstop import (
 )
 
 FIXTURE_DIR = os.environ.get("CARBONSTOP_FIXTURES", "")
-SZA = Path(FIXTURE_DIR) / "sza_2018_2019.csv" if FIXTURE_DIR else None
+SZA = Path(FIXTURE_DIR).resolve() / "sza_2018_2019.csv" if FIXTURE_DIR else None
 
 pytestmark = pytest.mark.skipif(
     not (SZA and SZA.exists()),

@@ -632,3 +632,130 @@ def test_lattice_node_cap_counts_times_by_levels(monkeypatch):
     with pytest.raises(ConfigError, match="1281 lattice nodes"):
         solve_boundary(gbm, plant, config)
     assert MAX_LATTICE_NODES == 2**26
+
+
+# --- the slice kernel against its first form, bit for bit -------------------
+#
+# `_Stencil.build`, `_Stencil.expected_positive_part` and the slice step of
+# `solve_backward` work in place to save numpy calls and temporaries.  The
+# functions below are those three as first written, one temporary per step;
+# the kernel must give their bits, not merely their values.
+
+
+def reference_build(log_factors, log_step, n):
+    shift = np.clip(log_factors / log_step, -n, n)
+    offsets = np.floor(shift)
+    w = np.expm1((shift - offsets) * log_step) / math.expm1(log_step)
+    lo, hi = int(offsets.min()), int(offsets.max())
+    bins = offsets.astype(np.intp) - lo
+    width = hi - lo + 2
+    weights = np.bincount(bins, 1.0 - w, width) + np.bincount(bins + 1, w, width)
+    return _Stencil(lo, bins.astype(np.min_scalar_type(width)), w, weights)
+
+
+def reference_apply(stencil, C):
+    n, lo, width = len(C), stencil.lo, len(stencil.weights)
+    pos = np.maximum(C, 0.0)
+    left, right = max(0, -lo), max(0, lo + width - 1)
+    padded = np.concatenate([np.full(left, pos[0]), pos, np.full(right, pos[-1])])
+    total = np.correlate(padded, stencil.weights, "valid")[lo + left : lo + left + n]
+    w = stencil.w
+    sign = np.sign(C)
+    for i in (sign[:-1] * sign[1:] < 0).nonzero()[0]:
+        excess = np.minimum(w * abs(C[i + 1]), (1.0 - w) * abs(C[i]))
+        j = i - lo - np.arange(width - 1)
+        inside = (j >= 0) & (j < n)
+        total[j[inside]] -= np.bincount(stencil.bins, excess, width - 1)[inside]
+    return total / len(w)
+
+
+def reference_premium(gbm, plant, config, time_grid):
+    """U of `solve_backward` (sigma > 0) by the reference kernel and slice
+    step, each slice drawn from its own stream."""
+    grid = config.resolve_grid(gbm, plant)
+    levels, times = grid.levels, time_grid.times
+    remaining = plant.horizon - times
+    drift, vol = gbm.log_increment(time_grid.delta)
+    delta, p = time_grid.delta, plant.unit_profit
+    U = np.zeros((len(times), len(levels)))
+    C = np.zeros(len(levels))
+    for i in range(time_grid.n_steps - 1, -1, -1):
+        z = config.seed.stream(i).standard_normal(config.samples_per_node)
+        stencil = reference_build(drift + vol * z, grid.log_step, len(levels))
+        cont = reference_apply(stencil, C)
+        running = delta * (p - levels * math.exp(gbm.mu * remaining[i]))
+        C = cont + running
+        U[i] = np.maximum(0.0, C)
+        if not np.all(np.isfinite(U[i])):
+            raise NumericError(f"non-finite values in slice t={times[i]}")
+    return U
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def kernel_cases(draw):
+    """`operator_cases`, plus draws at and past n cells (clipped), signed
+    zeros in C, and |C| up to about 1e303."""
+    levels, log_factors, C = draw(operator_cases())
+    n, h = len(levels), PriceGrid(levels).log_step
+    edges = draw(st.lists(st.sampled_from([-3.0, -1.0, 1.0, 3.0]), max_size=4))
+    log_factors = np.append(log_factors, np.array(edges) * n * h)
+    zeros = draw(st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=n, max_size=n))
+    C = np.array([c if z is None else z for c, z in zip(C.tolist(), zeros)])
+    return levels, log_factors, C * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+
+
+@settings(deadline=None, max_examples=500)
+@given(case=kernel_cases())
+def test_stencil_kernel_matches_its_reference_bit_for_bit(case):
+    levels, log_factors, C = case
+    log_step, n = PriceGrid(levels).log_step, len(levels)
+    argument = log_factors.copy()
+    got = _Stencil.build(log_factors, log_step, n)
+    assert same_bits(log_factors, argument)
+    want = reference_build(log_factors, log_step, n)
+    assert got.lo == want.lo
+    for name in ("bins", "w", "weights"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert same_bits(got.expected_positive_part(C), reference_apply(want, C))
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=small_solves(), delta=st.sampled_from([1.0, 0.5, 0.2]))
+def test_slice_step_matches_its_reference_bit_for_bit(case, delta):
+    gbm, plant, config = case
+    time_grid = TimeGrid(plant.horizon, delta)
+    assert same_bits(solve_backward(gbm, plant, time_grid, config).U,
+                     reference_premium(gbm, plant, config, time_grid))
+
+
+@pytest.mark.parametrize(
+    "gbm, plant, delta",
+    [(GbmParams(21.43, -0.0020, 0.0603), PlantParams(0.014, 14.7, 246), 1.0),
+     (GbmParams(5e307, -0.0020, 0.0603), PlantParams(0.014, 14.7, 20), 1.0),
+     (GbmParams(36.50, -0.0019, 0.0238), PlantParams(0.048, 14.5, 49), 4.9)],
+    ids=["table1", "near-float-ceiling", "table2-in-steps-of-4.9"],
+)
+def test_default_solve_matches_its_reference_bit_for_bit(gbm, plant, delta):
+    config, time_grid = SolverConfig(seed=Seed(4)), TimeGrid(plant.horizon, delta)
+    assert same_bits(solve_backward(gbm, plant, time_grid, config).U,
+                     reference_premium(gbm, plant, config, time_grid))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_slice_is_a_numeric_error(monkeypatch, bad):
+    apply = _Stencil.expected_positive_part
+
+    def spoiled(self, C):
+        cont = apply(self, C)
+        cont[3] = bad
+        return cont
+
+    monkeypatch.setattr(_Stencil, "expected_positive_part", spoiled)
+    gbm, plant, config = small_case()
+    with pytest.raises(NumericError, match=r"non-finite values in slice t=29\.0$"):
+        solve_backward(gbm, plant, None, config)
