@@ -448,10 +448,9 @@ def solve_backward(
         # grid cells.
         C = np.zeros(len(levels))
         running = np.empty(len(levels))
-        rem = remaining.tolist()
         for i in range(time_grid.n_steps - 1, -1, -1):
             C = draws[i].expected_positive_part(C)
-            np.multiply(levels, math.exp(gbm.mu * rem[i]), out=running)
+            np.multiply(levels, math.exp(gbm.mu * remaining.item(i)), out=running)
             np.subtract(p, running, out=running)
             running *= delta
             C += running
