@@ -2,9 +2,9 @@
 
 Prices are treated as one observation per trading day: consecutive rows are
 consecutive unit time steps, regardless of calendar gaps.  The drift estimate
-is the plain mean of daily log returns (no Ito +sigma^2/2 adjustment), which
-is the convention the rest of the package is calibrated to; it estimates the
-log-drift mu - sigma^2/2 of the underlying GBM, not mu itself.
+is the plain mean of daily log returns: the log-drift mu - sigma^2/2, not the
+GbmParams.mu the solver reads, so the CLI, which passes it on as mu, solves
+at the log-drift mu_hat - sigma_hat^2/2 (README, "CLI").
 """
 from __future__ import annotations
 
