@@ -34,7 +34,8 @@ from .market_data import (
 )
 from .plant import PlantParams, Upgrade
 from .scenario import (
-    apply_upgrade, check_upgrade_day, min_survival_p, monitor, p_levels, surface,
+    apply_upgrade, check_prices, check_upgrade_day, min_survival_p, monitor, p_levels,
+    surface,
 )
 from .solver import (
     MAX_LATTICE_NODES, SolverConfig, TimeGrid, check_lattice_nodes, geometric_price_grid,
@@ -110,16 +111,18 @@ def _write_outputs(out_dir: str, writers: dict) -> None:
     click.echo(f"wrote {', '.join(writers)} to {out}")
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse an --out that `_write_outputs` could not make a directory: an
+    existing path that is not one, or a new path under something else."""
+    path = Path(out_dir).absolute()
+    existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out_dir}: {existing} is not a directory")
+
+
 def _json_writer(payload: dict):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return lambda tmp: tmp.write_text(text, encoding="utf-8")
-
-
-def _timed(compute):
-    """(compute(), seconds it took)."""
-    start = time.perf_counter()
-    result = compute()
-    return result, time.perf_counter() - start
 
 
 def _load_config(path: str) -> dict:
@@ -263,13 +266,12 @@ def _solver_config(config: dict, **flags: int | None) -> SolverConfig:
     return solver_config
 
 
-def _summary_writer(boundary, solver_config, elapsed):
-    found = boundary.found_mask()
+def _summary_writer(boundary, solver_config):
+    found = np.isfinite(boundary.values)
     return _json_writer({
         "b0": float(boundary.values[0]) if found[0] else None,
         "bT": float(boundary.values[-1]) if found[-1] else None,
         "above_grid_times": int((~found).sum()),
-        "runtime_seconds": elapsed,
         "seed": solver_config.seed.value,
         "samples_per_node": solver_config.samples_per_node,
         "grid_size": solver_config.grid_size,
@@ -285,9 +287,10 @@ def config_command(name: str):
     """Register `body` as the config-driven command `name`.
 
     The command takes --config, --seed, --out, --samples and --grid, checks
-    the config and calls `body(config, load_gbm, solver_config, out_dir)`;
-    `body` makes its own checks before `load_gbm()`, which may read a price
-    file.  Errors exit with their EXIT_CODES.
+    the config and --out and calls `body(config, load_gbm, solver_config,
+    out_dir)`; `body` makes its own checks before `load_gbm()`, which may
+    read a price file.  Errors exit with their EXIT_CODES; a run that
+    succeeds prints how long it took, which no written file records.
     """
     def register(body):
         @main.command(name, help=body.__doc__)
@@ -302,8 +305,11 @@ def config_command(name: str):
                       help="Override price grid size.")
         @handle_errors
         def command(config_path, out_dir, **flags):  # flags: seed, samples, grid
+            start = time.perf_counter()
             config = _load_config(config_path)
+            _check_out_dir(out_dir)
             body(config, _gbm_loader(config), _solver_config(config, **flags), out_dir)
+            click.echo(f"{name} took {time.perf_counter() - start:.3f} s")
 
         return command
 
@@ -329,10 +335,10 @@ def solve(config, load_gbm, solver_config, out_dir):
     """Solve the halt boundary; writes boundary.csv and summary.json."""
     plant = _plant(config, solver_config)
     gbm = load_gbm()
-    (_, boundary), elapsed = _timed(lambda: solve_boundary(gbm, plant, solver_config))
+    _, boundary = solve_boundary(gbm, plant, solver_config)
     _write_outputs(out_dir, {
         "boundary.csv": boundary.to_csv,
-        "summary.json": _summary_writer(boundary, solver_config, elapsed),
+        "summary.json": _summary_writer(boundary, solver_config),
     })
 
 
@@ -345,10 +351,13 @@ def monitor_cmd(config, load_gbm, solver_config, out_dir):
         raise ConfigError("monitor config needs exactly one of 'prices_csv' or 'prices'")
     if "prices" in block and "columns" in block:
         raise ConfigError("monitor.columns applies only to monitor.prices_csv")
+    n_times = TimeGrid(plant.horizon).n_steps + 1
+    if "prices" in block:
+        prices = check_prices(block["prices"], n_times)
     gbm = load_gbm()
-    prices = block["prices"] if "prices" in block else load_price_csv(
-        block["prices_csv"], columns=block.get("columns")
-    ).prices
+    if "prices_csv" in block:
+        series = load_price_csv(block["prices_csv"], columns=block.get("columns"))
+        prices = check_prices(series.prices, n_times)
     _, boundary = solve_boundary(gbm, plant, solver_config)
     report = monitor(boundary, prices)
     _write_outputs(out_dir, {"monitor.json": _json_writer(asdict(report))})
@@ -362,14 +371,12 @@ def upgrade_cmd(config, load_gbm, solver_config, out_dir):
     upgrade = Upgrade(block["day"], block["P_new"], block["M_new"])
     check_upgrade_day(plant, upgrade)
     gbm = load_gbm()
-    (before, after, composite), elapsed = _timed(
-        lambda: apply_upgrade(gbm, plant, upgrade, solver_config)
-    )
+    before, after, composite = apply_upgrade(gbm, plant, upgrade, solver_config)
     _write_outputs(out_dir, {
         "boundary_before.csv": before.to_csv,
         "boundary_after.csv": after.to_csv,
         "boundary_composite.csv": composite.to_csv,
-        "summary.json": _summary_writer(composite, solver_config, elapsed),
+        "summary.json": _summary_writer(composite, solver_config),
     })
 
 
@@ -407,12 +414,8 @@ def surface_cmd(config, load_gbm, solver_config, out_dir):
         if y <= 0:
             raise ConfigError(f"surface.survival_query.y must be positive, got {y}")
     gbm = load_gbm()
-    surf, elapsed = _timed(lambda: surface(gbm, block["T"], p_values, solver_config))
-    summary = {
-        "runtime_seconds": elapsed,
-        "seed": solver_config.seed.value,
-        "p_values": surf.p_values.tolist(),
-    }
+    surf = surface(gbm, block["T"], p_values, solver_config)
+    summary = {"seed": solver_config.seed.value, "p_values": surf.p_values.tolist()}
     if query is not None:
         summary["min_survival_p"] = min_survival_p(surf, t, y)
     _write_outputs(out_dir, {

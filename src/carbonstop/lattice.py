@@ -51,21 +51,9 @@ class TreeSolution:
     root_value: float  # V(0, y0) = M * U + G
     premiums: tuple[tuple[float, ...], ...]  # U per step, per node (ascending y)
     node_prices: tuple[tuple[float, ...], ...]
-    boundary: tuple[float | None, ...]  # smallest stopping price per step
 
 
-def _gain(
-    plant: PlantParams, q: float, n_steps: int, step: int, t: float, y: float
-) -> float:
-    """Tree-consistent expected reward of stopping at (t, y)."""
-    m, p = plant.emission_rate, plant.unit_profit
-    remaining = plant.horizon - t
-    return m * p * t + m * y * q ** (n_steps - step) * remaining
-
-
-def tree_solve(
-    gbm: GbmParams, plant: PlantParams, spec: LatticeSpec, tol: float = 1e-12
-) -> TreeSolution:
+def tree_solve(gbm: GbmParams, plant: PlantParams, spec: LatticeSpec) -> TreeSolution:
     """Deterministic backward induction on the recombining tree.
 
     Node children are exact lattice nodes, so no interpolation is involved;
@@ -96,28 +84,15 @@ def tree_solve(
             row.append(max(0.0, cont + running))
         premiums[i] = tuple(row)
 
-    scale = max(1.0, p * plant.horizon)
-    boundary: list[float | None] = []
-    for i in range(n + 1):
-        level = None
-        if i == n:
-            hits = [y for y in prices[i] if y >= p]
-            level = min(hits) if hits else None
-        else:
-            for k, y in enumerate(prices[i]):
-                if premiums[i][k] <= tol * scale:
-                    level = y
-                    break
-        boundary.append(level)
-
     root_u = premiums[0][0]
-    root_v = plant.emission_rate * root_u + _gain(plant, q, n, 0, 0.0, gbm.y0)
+    m = plant.emission_rate
+    # G(0, y0): the allowance sold at the tree's expected terminal price.
+    root_v = m * root_u + m * gbm.y0 * q**n * plant.horizon
     return TreeSolution(
         root_premium=root_u,
         root_value=root_v,
         premiums=tuple(premiums),
         node_prices=tuple(prices),
-        boundary=tuple(boundary),
     )
 
 

@@ -41,13 +41,9 @@ class MonitorReport:
     boundary_at_crossing: float | None = None
 
 
-def monitor(boundary: Boundary, prices) -> MonitorReport:
-    """First trading day whose price reaches the boundary (touch counts).
-
-    `prices` is a sequence aligned by position with the boundary's time
-    grid, index 0 = t_0.  ABOVE_GRID boundary entries can never be crossed.
-    Every price must be a positive finite number, not a string or a bool.
-    """
+def check_prices(prices, n_times: int) -> np.ndarray:
+    """`prices` as floats, or a DataError unless they are a flat sequence of
+    at most `n_times` positive finite numbers (not strings or bools)."""
     items = np.asarray(prices, dtype=object)
     if items.ndim != 1 or not all(
         isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
@@ -62,11 +58,21 @@ def monitor(boundary: Boundary, prices) -> MonitorReport:
     if bad.any():
         i = int(np.argmax(bad))
         raise DataError(f"price {values[i]} at index {i} is not positive and finite")
-    if len(values) > len(boundary.times):
+    if len(values) > n_times:
         raise DataError(
-            f"{len(values)} prices exceed the boundary grid of "
-            f"{len(boundary.times)} times"
+            f"{len(values)} prices exceed the boundary grid of {n_times} times"
         )
+    return values
+
+
+def monitor(boundary: Boundary, prices) -> MonitorReport:
+    """First trading day whose price reaches the boundary (touch counts).
+
+    `prices` is a sequence aligned by position with the boundary's time
+    grid, index 0 = t_0.  ABOVE_GRID boundary entries can never be crossed.
+    The prices must pass `check_prices` against the boundary's times.
+    """
+    values = check_prices(prices, len(boundary.times))
     levels = boundary.values[: len(values)]
     hits = np.nonzero(values >= levels)[0]
     if not len(hits):
@@ -87,9 +93,9 @@ def _solve_shared(
     price grid wide enough for all of them (common random numbers).
 
     Every solve is a `solve_boundary` call of its own, handed the drive's
-    one shared `SliceDraws`: the first solve builds each slice's draws and
-    stencil and keeps them (up to solver.SHARED_DRAW_BYTES), and the others
-    only apply them.
+    one `SliceDraws`: with more than one plant, the first solve builds each
+    slice's draws and stencil and keeps them (up to solver.SHARED_DRAW_BYTES),
+    and the others only apply them; a lone plant keeps none.
     """
     config = config or SolverConfig()
     if config.price_grid is None:
@@ -99,7 +105,7 @@ def _solve_shared(
         grid = geometric_price_grid(lo, hi, config.grid_size)
         config = replace(config, price_grid=grid)
     time_grid = TimeGrid(plants[0].horizon)
-    draws = SliceDraws(gbm, config, config.price_grid, time_grid, shared=True)
+    draws = SliceDraws(gbm, config, config.price_grid, time_grid, shared=len(plants) > 1)
     return [solve_boundary(gbm, pl, config, draws)[1] for pl in plants]
 
 

@@ -234,13 +234,10 @@ class Boundary:
     values: np.ndarray
     lower_bounds: np.ndarray
 
-    def found_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
     @property
     def status(self) -> tuple[str, ...]:
         return tuple(
-            FOUND if found else ABOVE_GRID for found in self.found_mask().tolist()
+            FOUND if found else ABOVE_GRID for found in np.isfinite(self.values).tolist()
         )
 
     def to_csv(self, path) -> None:

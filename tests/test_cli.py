@@ -148,12 +148,24 @@ def test_solve_writes_outputs(runner, tmp_path):
 
 
 def test_solve_is_byte_deterministic(runner, tmp_path):
-    config = write_config(tmp_path, base_config())
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        result = runner.invoke(main, ["solve", "--config", config, "--out", str(out)])
-        assert result.exit_code == 0
-    assert (out1 / "boundary.csv").read_bytes() == (out2 / "boundary.csv").read_bytes()
+    # Every file a config command writes, summaries included, follows from
+    # the config alone; the run time is printed, not written.
+    (tmp_path / "prices.csv").write_text(PRICE_CSV)
+    for command, make in CONFIGS.items():
+        payload = make()
+        if command == "monitor":
+            payload["monitor"]["prices_csv"] = str(tmp_path / "prices.csv")
+        config = write_config(tmp_path, payload, f"{command}.json")
+        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+        results = [runner.invoke(main, [command, "--config", config, "--out", str(out)])
+                   for out in (out1, out2)]
+        assert [result.exit_code for result in results] == [0, 0], results[0].output
+        names = sorted(path.name for path in out1.iterdir())
+        assert names and names == sorted(path.name for path in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        for result in results:
+            assert result.output.splitlines()[-1].startswith(f"{command} took ")
 
 
 def test_solve_seed_override_changes_output(runner, tmp_path):
@@ -364,6 +376,32 @@ def test_monitor_requires_prices(runner, tmp_path):
     payload["monitor"] = {}
     config = write_config(tmp_path, payload)
     assert runner.invoke(main, ["monitor", "--config", config]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "source, prices, message",
+    [
+        ("prices", [1, 2, "x"], "monitor.prices must be a flat sequence of numbers"),
+        ("prices", list(range(1, 31)), "30 prices exceed the boundary grid of 21 times"),
+        ("prices_csv", list(range(1, 31)), "30 prices exceed the boundary grid of 21 times"),
+    ],
+    ids=["inline-text", "inline-too-many", "csv-too-many"],
+)
+def test_monitor_checks_prices_before_the_solve(runner, tmp_path, monkeypatch, source,
+                                                prices, message):
+    def unsolved(*args, **kwargs):
+        raise AssertionError("the lattice was solved before the prices were checked")
+
+    monkeypatch.setattr(cli, "solve_boundary", unsolved)
+    payload = base_config()  # T = 20: 21 times
+    if source == "prices_csv":
+        rows = [f"2020-01-{day:02d},{price}" for day, price in enumerate(prices, 1)]
+        (tmp_path / "prices.csv").write_text("\n".join(["date,close", *rows]) + "\n")
+        prices = str(tmp_path / "prices.csv")
+    payload["monitor"] = {source: prices}
+    result = runner.invoke(main, ["monitor", "--config", write_config(tmp_path, payload)])
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert message in result.output
 
 
 @pytest.mark.parametrize(
@@ -865,6 +903,21 @@ def test_whole_config_checked_before_any_file(runner, tmp_path, monkeypatch, com
     result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
     assert_config_error(result)
     assert message in result.output
+
+
+@pytest.mark.parametrize("command", list(CONFIGS))
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2_before_any_work(runner, tmp_path,
+                                                                monkeypatch, command, under):
+    fail_if_called(monkeypatch)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    config = write_config(tmp_path, CONFIGS[command]())
+    result = runner.invoke(main, [command, "--config", config, "--out", str(out)])
+    assert_config_error(result)
+    assert f"--out {out}: {blocker} is not a directory" in result.output
+    assert blocker.read_text() == "kept\n"
 
 
 def test_estimate_checks_the_window_before_the_file(runner):

@@ -86,16 +86,6 @@ def test_tree_zero_vol_is_bang_bang():
         assert solution.root_value == pytest.approx(best, rel=1e-12)
 
 
-def test_tree_terminal_boundary_at_unit_profit():
-    gbm = GbmParams(10.0, 0.0, 0.2)
-    plant = PlantParams(1.0, 10.5, 4)
-    solution = tree_solve(gbm, plant, LatticeSpec(4, 1.0))
-    terminal = solution.boundary[-1]
-    assert terminal is not None
-    assert terminal >= 10.5
-    assert terminal in solution.node_prices[-1]
-
-
 def test_tree_premiums_nonnegative_and_terminal_zero():
     gbm = GbmParams(20.0, -0.01, 0.15)
     plant = PlantParams(0.1, 25.0, 6)

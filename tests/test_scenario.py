@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -351,3 +352,23 @@ def test_surface_draws_each_slice_once_within_the_cap(monkeypatch, streams):
             assert len(streams) == n_steps * len(plants)
         else:
             assert n_steps < len(streams) < n_steps * len(plants)
+
+
+def test_one_p_sweep_keeps_no_slices():
+    # A lone plant reuses no slice, so the sweep is the standalone solve: the
+    # same bits, without keeping every slice's draws beside the lattice.
+    gbm, horizon, _ = CRITERION_7
+    config = SolverConfig(samples_per_node=2000, seed=Seed(42))
+    plant = PlantParams(1.0, 20.0, horizon)
+    solve_boundary(gbm, plant, config)  # imports and first-use allocations, untraced
+    peaks, values = [], []
+    for run in (lambda: solve_boundary(gbm, plant, config)[1].values,
+                lambda: surface(gbm, horizon, [20.0], config).B[:, 0]):
+        tracemalloc.start()
+        try:
+            values.append(run())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(bits(values[1]), bits(values[0]))
+    assert peaks[1] <= 1.5 * peaks[0]

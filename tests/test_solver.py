@@ -166,7 +166,7 @@ def test_solve_near_the_float_ceiling_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, boundary = solve_boundary(gbm, PlantParams(0.014, 14.7, 20))
-    assert boundary.found_mask().all()
+    assert np.isfinite(boundary.values).all()
 
 
 @pytest.mark.parametrize("sigma", [2.26, 3.0, 1e100])
@@ -597,10 +597,28 @@ def test_boundary_shifts_k_cells_when_p_scales_by_r_to_the_k(case, cells, sample
     scaled = PlantParams(plant.emission_rate, plant.unit_profit * r**k, plant.horizon)
     _, low = solve_boundary(gbm, plant, config)
     _, high = solve_boundary(gbm, scaled, config)
-    found = low.found_mask()
-    assert np.array_equal(high.found_mask(), found)
+    found = np.isfinite(low.values)
+    assert np.array_equal(np.isfinite(high.values), found)
     index = np.searchsorted(grid.levels, low.values[found])
     assert np.array_equal(np.searchsorted(grid.levels, high.values[found]), index + k)
+
+
+def test_boundary_nonincreasing_in_mu_on_shared_grid():
+    # With common normals, raising mu shifts every log factor up by
+    # d_mu * delta; C stays nonincreasing in y through the interpolation and
+    # the clamping, and the running term falls with mu.  So on one grid and
+    # seed no row of b rises with mu.  (A larger sigma also lowers the
+    # draws' log drift, so no order in sigma is asserted.)
+    plant = PlantParams(0.014, 14.7, 246)
+    gbms = [GbmParams(21.43, float(mu), 0.0603) for mu in np.linspace(-0.004, 0.001, 11)]
+    spans = [default_price_grid(gbm, plant).levels for gbm in gbms]
+    grid = geometric_price_grid(
+        min(s[0] for s in spans), max(s[-1] for s in spans), solver.DEFAULT_GRID_SIZE
+    )
+    for seed in range(4):
+        config = SolverConfig(samples_per_node=2000, seed=Seed(seed), price_grid=grid)
+        B = np.array([solve_boundary(gbm, plant, config)[1].values for gbm in gbms])
+        assert (B[1:] <= B[:-1]).all()  # +inf (above the grid) compares too
 
 
 @pytest.mark.parametrize(
