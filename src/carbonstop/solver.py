@@ -17,11 +17,12 @@ into the cell [y_{j+m}, y_{j+m+1}] at the same linear-interpolation weight
 (r**f - 1)/(r - 1).  The expectation over the batch is therefore a short
 correlation of the grid values with a weight stencil binned by offset m
 (the CONV idea of Lord, Fang, Bervoets & Oosterlee, 2008, without the FFT),
-and a slice costs O(samples + levels * stencil width) time and O(samples +
-levels) memory.  None of that depends on C, P or M: a slice's draws are
-binned once into a `_Stencil`, and a shared-grid drive hands one
-`SliceDraws` to all of its solves, so that every plant after the first only
-applies the stencils.
+and a slice costs O(samples + levels * stencil width) time.  None of that
+depends on C, P or M, so the slices are drawn and binned into `_Stencil`s a
+block of K = max(1, BLOCK_DRAWS // samples) at a time, one numpy pass per
+step for the whole block, and a block takes O(K * (samples + levels))
+memory.  A shared-grid drive hands one `SliceDraws` to all of its solves,
+so that every plant after the first only applies the stencils.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -44,16 +45,18 @@ ABOVE_GRID = "ABOVE_GRID"
 DEFAULT_SAMPLES = 2000
 DEFAULT_GRID_SIZE = 200
 DEFAULT_TOL_SCALE = 1e-6
-# A slice holds a few float arrays of `samples` and of `grid + 1` entries,
+# A block of slices holds a few float arrays of at most max(samples,
+# BLOCK_DRAWS) draws and its stencils of up to 2 * grid + 3 entries a slice,
 # so these caps bound its memory at tens of MB; the lattice itself is two
 # (horizon/delta + 1) x (grid + 1) arrays (U, G), whose nodes are capped at
-# MAX_LATTICE_NODES (1 GiB for the two).  A shared-grid drive also keeps
-# its built slices, about 9 bytes per sample each, up to SHARED_DRAW_BYTES;
-# a standalone solve keeps none across slices.
+# MAX_LATTICE_NODES (1 GiB for the two).  A standalone solve keeps one block
+# at a time; a shared-grid drive also keeps whole built blocks, about 9
+# bytes per sample a slice, up to SHARED_DRAW_BYTES.
 MAX_SAMPLES = 10**6
 MAX_GRID_SIZE = 20000
 MAX_LATTICE_NODES = 2**26
 SHARED_DRAW_BYTES = 32 * 2**20
+BLOCK_DRAWS = 2**13
 
 
 @dataclass(frozen=True)
@@ -206,8 +209,8 @@ class ValueGrid:
     """U and G on the time x price lattice; V = M*U + G is derived.
 
     G[i, j] is `immediate_value` at (t_i, y_j), one call per node on Python
-    floats; the benchmark counts those calls until G becomes a closed-form
-    array (ROADMAP items 2 and 3).
+    floats in one pass over the lattice; the benchmark counts those calls
+    until G becomes a closed-form array (ROADMAP items 2 and 3).
     """
 
     time_grid: TimeGrid
@@ -269,25 +272,35 @@ class _Stencil(NamedTuple):
     weights: np.ndarray
 
     @classmethod
-    def build(cls, log_factors: np.ndarray, log_step: float, n: int) -> "_Stencil":
+    def build(cls, block: np.ndarray, log_step: float, n: int) -> list["_Stencil"]:
+        """The stencil of each row of a (slices x samples) block of log
+        factors, every row binned to the bits of a block of its own."""
         # One new buffer carries the shift, its fraction and w.  Beyond n
         # cells every index clips to the same edge, whatever the weight.
-        w = np.divide(log_factors, log_step)
+        w = np.divide(block, log_step)
         np.minimum(np.maximum(w, -n, out=w), n, out=w)
         offsets = np.floor(w)
         w -= offsets
         w *= log_step
         np.expm1(w, out=w)
         w /= math.expm1(log_step)
-        lo, hi = int(np.minimum.reduce(offsets)), int(np.maximum.reduce(offsets))
-        width = hi - lo + 2
+        lo = np.minimum.reduce(offsets, axis=1, keepdims=True)
         offsets -= lo
-        bins = offsets.astype(np.min_scalar_type(width))
-        # Bin m's upper weight belongs to bin m + 1: the same terms, summed in
-        # the same order, as a bincount of bins + 1.
-        weights = np.bincount(bins, 1.0 - w, width)
-        weights[1:] += np.bincount(bins, w, width)[:-1]
-        return cls(lo, bins, w, weights)
+        widths = (np.maximum.reduce(offsets, axis=1).astype(np.intp) + 2).tolist()
+        rows, stride = len(w), max(widths)
+        bins = [row.astype(np.min_scalar_type(k)) for row, k in zip(offsets, widths)]
+        # Row r bins from r * stride on, so that each bin of one bincount sums
+        # the same terms, in the same order, as a bincount of row r alone.
+        # Bin m's upper weight belongs to bin m + 1.
+        size = rows * stride
+        offsets += np.arange(0, size, stride)[:, None]
+        index = offsets.astype(np.intp).ravel()
+        lower = np.subtract(1.0, w, out=offsets)  # a spent buffer, not a fresh one
+        weights = np.bincount(index, lower.ravel(), size).reshape(rows, stride)
+        upper = np.bincount(index, w.ravel(), size).reshape(rows, stride)
+        weights[:, 1:] += upper[:, :-1]
+        lo = lo.astype(np.intp).ravel().tolist()
+        return list(map(cls, lo, bins, w, [row[:k] for row, k in zip(weights, widths)]))
 
     @property
     def nbytes(self) -> int:
@@ -329,15 +342,17 @@ class _Stencil(NamedTuple):
 class SliceDraws:
     """The `_Stencil` of every slice of one seed's draws on one price grid.
 
-    Slice i is built from one `Seed.stream(i)` batch on first use.  A slice
-    depends on the seed, the sample count, the one-step log law, the grid's
-    log step and its level count, and on nothing else: the operator is
-    invariant under translation on a log grid, so y_0 does not enter.
-    Without `shared` nothing is kept, so a solve of its own builds, applies
-    and drops each slice.  A shared-grid drive passes one `shared` object
-    to all of its solves: it keeps built slices up to SHARED_DRAW_BYTES, and
-    a slice past that is rebuilt by each solve from the same stream, to the
-    same bits.
+    Slice i is built on first use in a block with the slices below it, K =
+    max(1, BLOCK_DRAWS // samples) in all, each row from its own
+    `Seed.stream(k)` batch and binned to the bits of a slice built alone.  A
+    slice depends on the seed, the sample count, the one-step log law, the
+    grid's log step and its level count, and on nothing else: the operator
+    is invariant under translation on a log grid, so y_0 does not enter.
+    Without `shared` only the current block is kept, at most BLOCK_DRAWS
+    draws (one slice's above that).  A shared-grid drive passes one `shared`
+    object to all of its solves: it keeps whole blocks up to
+    SHARED_DRAW_BYTES, never draws a kept slice again, and rebuilds a slice
+    past that in each solve from the same stream, to the same bits.
     """
 
     def __init__(
@@ -357,19 +372,27 @@ class SliceDraws:
         )
         self._room = SHARED_DRAW_BYTES if shared else 0
         self._kept: dict[int, _Stencil] = {}
+        self._block: dict[int, _Stencil] = {}
 
     def __getitem__(self, i: int) -> _Stencil:
-        stencil = self._kept.get(i)
-        if stencil is None:
+        if i in self._kept:
+            return self._kept[i]
+        if i not in self._block:
+            self._block = {}  # so that two blocks are never held at once
             seed, samples, (drift, vol), log_step, n = self.key
-            z = seed.stream(i).standard_normal(samples)
+            start = max(0, i + 1 - max(1, BLOCK_DRAWS // samples))
+            start = max([start, *(j + 1 for j in range(start, i) if j in self._kept)])
+            z = np.empty((i + 1 - start, samples))
+            for k, row in enumerate(z, start):
+                seed.stream(k).standard_normal(out=row)
             z *= vol
             z += drift
-            stencil = _Stencil.build(z, log_step, n)
-            if stencil.nbytes <= self._room:
-                self._kept[i] = stencil
-                self._room -= stencil.nbytes
-        return stencil
+            self._block = dict(enumerate(_Stencil.build(z, log_step, n), start))
+            size = sum(stencil.nbytes for stencil in self._block.values())
+            if size <= self._room:
+                self._kept.update(self._block)
+                self._room -= size
+        return self._block[i]
 
 
 def check_lattice_nodes(time_grid: TimeGrid, grid_size: int) -> None:
@@ -397,17 +420,20 @@ def solve_backward(
     binned on the grid: continuation values between levels are
     interpolated linearly in y, and a draw that leaves the grid reads the
     edge value (clamping).  Deterministic for a fixed seed.  `draws` lets a
-    shared-grid drive reuse the slices across its solves; without it each
-    slice is built and dropped.  Draws built for another seed, sample
-    count, time step or grid are a ConfigError, and so is a lattice of
-    more than MAX_LATTICE_NODES nodes, refused before any of it is built.
+    shared-grid drive reuse the slices across its solves; without it they
+    are built a block at a time and each block is dropped once used.  Draws
+    built for another seed, sample count, time step or grid are a
+    ConfigError, and so is a lattice of more than MAX_LATTICE_NODES nodes,
+    refused before any of it is built.  The running term of every row is
+    formed in U before the recursion in three whole-lattice operations, so
+    a slice step adds its row to C and clamps C into it.
 
-    G is filled row by row with one `immediate_value` call per node on
-    Python floats (`tolist`), not numpy scalars: the IEEE operations and so
-    the values are the same, and a call costs less than half as much.  The
-    one-call-per-node fill stays because perfbench counts `immediate_value`
-    calls per node until ROADMAP items 2 and 3 replace it with closed-form
-    arrays.
+    G is filled in one pass with one `immediate_value` call per node, row by
+    row, on Python floats (`tolist`), not numpy scalars: the IEEE operations
+    and so the values are the same, and a call costs less than half as much.
+    The one-call-per-node fill stays because perfbench counts
+    `immediate_value` calls per node until ROADMAP items 2 and 3 replace it
+    with closed-form arrays.
     """
     check_drift(gbm, plant.horizon)
     config = config or SolverConfig()
@@ -437,29 +463,32 @@ def solve_backward(
         horizon_price = np.exp(gbm.mu * remaining)[:, None] * levels
         U = remaining[:, None] * np.maximum(0.0, p - horizon_price)
     else:
-        U = np.zeros((len(times), len(levels)))
+        # Row i of U holds the running term delta*(P - y*exp(mu*(T - t_i)))
+        # until slice i overwrites it; math.exp, since np.exp over the times
+        # is not bitwise the same.
+        growth = [math.exp(gbm.mu * r) for r in remaining.tolist()]
+        U = np.multiply(levels, np.array(growth)[:, None])
+        np.subtract(p, U, out=U)
+        U *= delta
+        U[-1] = 0.0
         # C is the unclamped continuation estimate, U = max(0, C).
         # Interpolating C and clamping at evaluation avoids the kink that U
         # itself has at the boundary; interpolating the clamped U would
         # overshoot at that kink and bias the boundary upward by several
         # grid cells.
         C = np.zeros(len(levels))
-        running = np.empty(len(levels))
         for i in range(time_grid.n_steps - 1, -1, -1):
             C = draws[i].expected_positive_part(C)
-            np.multiply(levels, math.exp(gbm.mu * remaining.item(i)), out=running)
-            np.subtract(p, running, out=running)
-            running *= delta
-            C += running
+            C += U[i]
             # U[i] >= 0 and NaN propagates: a finite maximum means a finite row.
             if not np.maximum.reduce(np.maximum(0.0, C, out=U[i])) < math.inf:
                 raise NumericError(f"non-finite values in slice t={times[i]}")
 
-    G = np.empty_like(U)
-    level_list = levels.tolist()
-    for i, t in enumerate(times.tolist()):
-        row = map(immediate_value, repeat(plant), repeat(gbm), repeat(t), level_list)
-        G[i] = np.fromiter(row, float, len(level_list))
+    del own, draws  # a standalone solve's last block, before G joins U
+    ts = chain.from_iterable(map(repeat, times.tolist(), repeat(len(levels))))
+    ys = chain.from_iterable(repeat(levels.tolist(), len(times)))
+    nodes = map(immediate_value, repeat(plant), repeat(gbm), ts, ys)
+    G = np.fromiter(nodes, float, U.size).reshape(U.shape)
     return ValueGrid(time_grid, grid, plant.emission_rate, U, G)
 
 

@@ -6,10 +6,13 @@ import pytest
 
 from carbonstop import (
     DataError,
+    GbmParams,
     PriceSeries,
+    Seed,
     estimate_gbm,
     load_price_csv,
     log_returns,
+    simulate_path,
     split_at,
 )
 
@@ -132,6 +135,22 @@ def test_estimate_gbm_matches_numpy_ddof1():
 def test_estimate_gbm_needs_two_returns():
     with pytest.raises(DataError):
         estimate_gbm((0.1,))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_estimate_gbm_estimates_the_log_drift_not_mu(seed):
+    # The mean daily log return of a GBM path estimates mu - sigma^2/2, the
+    # log-drift, and not the GbmParams.mu that generated it.  At table 1's
+    # (mu, sigma) and 1e5 steps the two lie about 10 standard errors apart,
+    # so the mapping README documents is pinned, not merely allowed.
+    mu, sigma = -0.0020, 0.0603
+    path = simulate_path(GbmParams(21.43, mu, sigma), 100_000, seed=Seed(seed))
+    est = estimate_gbm(np.diff(np.log(path)))
+    n = est.sample_count
+    se_mu = est.sigma / math.sqrt(n)
+    assert abs(est.mu - (mu - 0.5 * sigma**2)) <= 3 * se_mu
+    assert abs(est.mu - mu) > 3 * se_mu
+    assert abs(est.sigma - sigma) <= 3 * est.sigma / math.sqrt(2 * (n - 1))
 
 
 def test_split_at_roundtrip(basic_csv):

@@ -354,6 +354,31 @@ def test_surface_draws_each_slice_once_within_the_cap(monkeypatch, streams):
             assert n_steps < len(streams) < n_steps * len(plants)
 
 
+def test_surface_whose_cap_runs_out_within_a_block_equals_independent_solves(
+    monkeypatch, streams
+):
+    # Room for one block and a half: the first solve keeps the top block
+    # whole and the next one not at all, so every later solve redraws each
+    # slice below the top block once, and the bits stay those of solves of
+    # their own.
+    gbm, horizon, p_values = CRITERION_7
+    config = SolverConfig(samples_per_node=1000, seed=Seed(42))
+    plants = [PlantParams(1.0, float(p), horizon) for p in p_values]
+    solo = solo_config(gbm, plants, config)
+    draws = solver.SliceDraws(gbm, solo, solo.price_grid, TimeGrid(horizon), shared=True)
+    n_steps, block = int(horizon), solver.BLOCK_DRAWS // config.samples_per_node
+    top = sum(draws[i].nbytes for i in range(n_steps - 1, n_steps - 1 - block, -1))
+    monkeypatch.setattr(solver, "SHARED_DRAW_BYTES", top * 3 // 2)
+
+    streams.clear()
+    B = surface(gbm, horizon, p_values, config).B
+    assert len(streams) == n_steps + (len(plants) - 1) * (n_steps - block)
+    assert n_steps < len(streams) < n_steps * len(plants)
+    for k, plant in enumerate(plants):
+        _, boundary = solve_boundary(gbm, plant, solo)
+        assert np.array_equal(bits(B[:, k]), bits(boundary.values))
+
+
 def test_one_p_sweep_keeps_no_slices():
     # A lone plant reuses no slice, so the sweep is the standalone solve: the
     # same bits, without keeping every slice's draws beside the lattice.

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carbonstop import (
@@ -32,6 +32,7 @@ from carbonstop import (
 )
 import carbonstop.solver as solver
 from carbonstop.solver import (
+    BLOCK_DRAWS,
     MAX_GRID_SIZE,
     MAX_LATTICE_NODES,
     MAX_SAMPLES,
@@ -399,9 +400,11 @@ def test_value_grid_matches_per_node_calls(sigma):
     assert np.array_equal(bits(boundary.lower_bounds), bits(lbs))
 
 
-def test_solve_keeps_about_one_lattice_beside_its_result():
+@pytest.mark.parametrize("samples", [200, 2000, 8000])
+def test_solve_keeps_about_one_lattice_beside_its_result(samples):
     # The result holds U and G and derives V; a third stored lattice would
-    # put the peak near three times U.
+    # put the peak near three times U.  The slices are drawn in blocks of
+    # 40, 4 and 1 at these sample counts, and no block may set the peak.
     gbm = GbmParams(21.43, -0.0020, 0.0603)
     plant = PlantParams(0.014, 14.7, 246)
     # numpy imports numpy.random (and with it secrets, hashlib, ...) on first
@@ -410,7 +413,7 @@ def test_solve_keeps_about_one_lattice_beside_its_result():
     Seed(0).stream(0)
     tracemalloc.start()
     try:
-        grid = solve_backward(gbm, plant)
+        grid = solve_backward(gbm, plant, None, SolverConfig(samples_per_node=samples))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -478,7 +481,7 @@ def operator_cases(draw):
 @given(case=operator_cases())
 def test_stencil_operator_matches_interp(case):
     levels, log_factors, C = case
-    stencil = _Stencil.build(log_factors, PriceGrid(levels).log_step, len(levels))
+    [stencil] = _Stencil.build(log_factors[None], PriceGrid(levels).log_step, len(levels))
     got = stencil.expected_positive_part(C)
     want = interp_expectation(C, log_factors, levels)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(C).max()
@@ -491,10 +494,11 @@ def test_one_stencil_applies_to_many_continuations(case, scales):
     # bits of a stencil built afresh for that C alone.
     levels, log_factors, C = case
     log_step, n = PriceGrid(levels).log_step, len(levels)
-    kept = _Stencil.build(log_factors, log_step, n)
+    [kept] = _Stencil.build(log_factors[None], log_step, n)
     for scale in [1.0, *scales]:
         shifted = C * scale + np.roll(C, 1)
-        fresh = _Stencil.build(log_factors, log_step, n).expected_positive_part(shifted)
+        [fresh] = _Stencil.build(log_factors[None], log_step, n)
+        fresh = fresh.expected_positive_part(shifted)
         assert np.array_equal(kept.expected_positive_part(shifted), fresh)
 
 
@@ -733,7 +737,7 @@ def test_stencil_kernel_matches_its_reference_bit_for_bit(case):
     levels, log_factors, C = case
     log_step, n = PriceGrid(levels).log_step, len(levels)
     argument = log_factors.copy()
-    got = _Stencil.build(log_factors, log_step, n)
+    [got] = _Stencil.build(log_factors[None], log_step, n)
     assert same_bits(log_factors, argument)
     want = reference_build(log_factors, log_step, n)
     assert got.lo == want.lo
@@ -762,6 +766,113 @@ def test_default_solve_matches_its_reference_bit_for_bit(gbm, plant, delta):
     config, time_grid = SolverConfig(seed=Seed(4)), TimeGrid(plant.horizon, delta)
     assert same_bits(solve_backward(gbm, plant, time_grid, config).U,
                      reference_premium(gbm, plant, config, time_grid))
+
+
+def signed_continuation(rng, n, kind):
+    """A continuation C of n levels as `operator_cases` draws them, with
+    some signed zeros."""
+    magnitudes = rng.uniform(1e-3, 1e3, n)
+    C = {
+        "positive": magnitudes,
+        "negative": -magnitudes,
+        "monotone": np.sort(magnitudes)[::-1] - rng.uniform(0.0, 1e3),
+        "alternating": magnitudes * (-1.0) ** np.arange(n),
+        "mixed": magnitudes * rng.choice([-1.0, 1.0], n),
+    }[kind]
+    zeros = rng.random(n) < 0.1
+    C[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return C
+
+
+@st.composite
+def block_cases(draw):
+    """A block of 1 to 6 rows of log factors on one grid of up to 300 levels.
+
+    Each row has its own centre and spread, so rows differ in lo and width;
+    some draws land exactly on a level (zero upper weight), and some rows
+    reach past both edges, where they clip at +-n cells to a width of
+    2n + 2, over 255 (uint16 bins) from 127 levels on."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(127, 300)))
+    h = draw(st.floats(1e-3, 0.7))
+    levels = PriceGrid(draw(st.floats(1e-2, 1e2)) * np.exp(h * np.arange(n))).levels
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = draw(st.integers(1, 80))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        centre = draw(st.integers(-2 * n, 2 * n))
+        spread = draw(st.sampled_from([0.0, 0.4, 3.0, 0.5 * n, 3.0 * n]))
+        cells = centre + spread * rng.uniform(-1.0, 1.0, samples)
+        if draw(st.booleans()):
+            cells = np.round(cells)
+        edges = draw(st.lists(st.sampled_from([-3.0, -1.0, 1.0, 3.0]), max_size=2))
+        cells[: len(edges)] = np.array(edges)[:samples] * n
+        rows.append(cells * h)
+    kind = draw(st.sampled_from(
+        ["positive", "negative", "monotone", "alternating", "mixed"]))
+    C = signed_continuation(rng, n, kind) * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    return levels, np.array(rows), C
+
+
+def wide_block():
+    """Three rows on 300 levels: one clipped at both edges (uint16 bins),
+    one narrow and one shifted up."""
+    n, h = 300, 0.01
+    rng = np.random.default_rng(5)
+    cells = np.stack([rng.uniform(-2 * n, 2 * n, 64), rng.uniform(-3, 3, 64),
+                      rng.uniform(40, 90, 64)])
+    C = signed_continuation(rng, n, "mixed")
+    return PriceGrid(20.0 * np.exp(h * np.arange(n))).levels, cells * h, C
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=block_cases())
+@example(case=wide_block())
+def test_block_build_gives_each_row_the_bits_of_its_reference(case):
+    levels, block, C = case
+    log_step, n = PriceGrid(levels).log_step, len(levels)
+    argument = block.copy()
+    stencils = _Stencil.build(block, log_step, n)
+    assert same_bits(block, argument)
+    assert len(stencils) == len(block)
+    for got, row in zip(stencils, block):
+        want = reference_build(row, log_step, n)
+        assert got.lo == want.lo
+        for name in ("bins", "w", "weights"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert same_bits(got.expected_positive_part(C), reference_apply(want, C))
+
+
+def test_wide_block_has_a_uint16_row():
+    levels, block, _ = wide_block()
+    stencils = _Stencil.build(block, PriceGrid(levels).log_step, len(levels))
+    assert [s.bins.dtype for s in stencils] == [np.uint16, np.uint8, np.uint8]
+    assert len({s.lo for s in stencils}) == 3
+
+
+@pytest.mark.parametrize("samples", [200, 1000])
+@pytest.mark.parametrize(
+    "horizon",
+    [lambda k: k - 7, lambda k: k, lambda k: k + 1, lambda k: 2 * k + 3],
+    ids=["T<K", "T=K", "T=K+1", "T=2K+3"],
+)
+def test_solve_across_block_edges_matches_its_reference(monkeypatch, samples, horizon):
+    # K slices a block: 40 at 200 samples, 8 at 1000.  The top block is full
+    # and the last one holds what is left.  A standalone solve draws each
+    # slice from its own stream exactly once.
+    gbm = GbmParams(21.43, -0.0020, 0.0603)
+    plant = PlantParams(0.014, 14.7, horizon(BLOCK_DRAWS // samples))
+    config = SolverConfig(samples_per_node=samples, seed=Seed(7))
+    time_grid = TimeGrid(plant.horizon)
+    streams, stream = [], Seed.stream
+
+    def counting(seed, *indices):
+        streams.append(indices)
+        return stream(seed, *indices)
+
+    monkeypatch.setattr(Seed, "stream", counting)
+    U = solve_backward(gbm, plant, time_grid, config).U
+    assert sorted(streams) == [(i,) for i in range(time_grid.n_steps)]
+    assert same_bits(U, reference_premium(gbm, plant, config, time_grid))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
