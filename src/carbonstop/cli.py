@@ -1,14 +1,14 @@
 """Command-line front end.
 
-One JSON config per run; scalar flags (--seed, --samples, --grid) override
-the corresponding config fields.  `FORMAT` and `REQUIRED` state the config
-format once, and `_load_config` checks the whole file against them,
-whatever the command, naming a bad key by its dotted path.  Each
-config-driven command is registered by `config_command`, which resolves
-`solver` and hands the command a loader for the GBM parameters that it
-calls after its own checks, so no price file is opened before every check
-has passed.  Outputs are written atomically (temp file then rename), so an
-aborted run never leaves partial files behind.
+One JSON config per run, the only source of its settings.  `FORMAT` and
+`REQUIRED` state the config format once, and `_load_config` checks the
+whole file against them, whatever the command, naming a bad key by its
+dotted path.  Each config-driven command is registered by
+`config_command`, which resolves `solver` and hands the command a loader
+for the GBM parameters that it calls after its own checks, so no price
+file is opened before every check has passed.  Outputs are written
+atomically (temp file then rename), so an aborted run never leaves partial
+files behind.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -47,12 +47,12 @@ EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4}
 
 # The config format: the keys each block may hold and the kind of each
 # value, which is a nested block (a dict), NUMBER (finite, read as a float),
-# INTEGER (taken exactly), STRING, NUMBERS (a list of finite numbers) or
-# AS_IS (passed on for its reader to check).  Every command accepts every
-# section, so that one config can carry the blocks of several commands, and
-# requires the sections it reads.  Within a section, null means no block.
+# INTEGER (taken exactly), STRING or NUMBERS (a list of finite numbers).
+# Every command accepts every section, so that one config can carry the
+# blocks of several commands, and requires the sections it reads.  Within
+# a section, null means no block.
 NUMBER, INTEGER, STRING = "a finite number", "an integer", "a string"
-NUMBERS, AS_IS = "a JSON list", "as is"
+NUMBERS = "a JSON list"
 COLUMNS = dict.fromkeys(DEFAULT_COLUMNS, STRING)
 P_RANGE = ("p_start", "p_stop", "p_step")
 FORMAT = {
@@ -62,16 +62,16 @@ FORMAT = {
     "plant": {"M": NUMBER, "P": NUMBER, "T": NUMBER,
               "upgrade": dict.fromkeys(("day", "P_new", "M_new"), NUMBER)},
     "solver": {"samples": INTEGER, "grid": INTEGER, "seed": INTEGER,
-               "stop_tol_scale": NUMBER, "grid_min": NUMBER, "grid_max": NUMBER},
-    "monitor": {"prices_csv": STRING, "columns": COLUMNS, "prices": AS_IS},
+               "grid_min": NUMBER, "grid_max": NUMBER},
+    "monitor": {"prices_csv": STRING, "columns": COLUMNS},
     "surface": {"T": NUMBER, "p_values": NUMBERS, **dict.fromkeys(P_RANGE, NUMBER),
                 "survival_query": {"t": NUMBER, "y": NUMBER}},
 }
 # The keys a block must hold, by its dotted path.
 REQUIRED = {
     "gbm": ("y0", "mu", "sigma"), "estimate": ("csv",), "plant": ("M", "P", "T"),
-    "plant.upgrade": ("day", "P_new", "M_new"), "surface": ("T",),
-    "surface.survival_query": ("t", "y"),
+    "plant.upgrade": ("day", "P_new", "M_new"), "monitor": ("prices_csv",),
+    "surface": ("T",), "surface.survival_query": ("t", "y"),
 }
 
 
@@ -158,7 +158,7 @@ def _check(value, kind, path: str = ""):
             for key, item in value.items()
             if item is not None or not (path and isinstance(kind[key], dict))
         }
-    if kind is AS_IS or (kind is STRING and isinstance(value, str)):
+    if kind is STRING and isinstance(value, str):
         return value
     if kind is NUMBERS and isinstance(value, list):
         return [_check(item, NUMBER, f"{name}.{i}") for i, item in enumerate(value)]
@@ -245,11 +245,9 @@ def _gbm_loader(config: dict):
     return load
 
 
-def _solver_config(config: dict, **flags: int | None) -> SolverConfig:
-    """The SolverConfig of the config's `solver` block, with the `flags` that
-    are given (not None) in place of its values."""
-    block = dict(config.get("solver", {}))
-    block.update((key, flag) for key, flag in flags.items() if flag is not None)
+def _solver_config(config: dict) -> SolverConfig:
+    """The SolverConfig of the config's `solver` block."""
+    block = config.get("solver", {})
     if ("grid_min" in block) != ("grid_max" in block):
         raise ConfigError("grid_min and grid_max must be given together")
     default = SolverConfig()
@@ -257,7 +255,6 @@ def _solver_config(config: dict, **flags: int | None) -> SolverConfig:
         samples_per_node=block.get("samples", default.samples_per_node),
         grid_size=block.get("grid", default.grid_size),
         seed=Seed(block.get("seed", default.seed.value)),
-        stop_tol_scale=block.get("stop_tol_scale", default.stop_tol_scale),
     )
     if "grid_min" in block:
         lo, hi = block["grid_min"], block["grid_max"]
@@ -286,29 +283,24 @@ def main():
 def config_command(name: str):
     """Register `body` as the config-driven command `name`.
 
-    The command takes --config, --seed, --out, --samples and --grid, checks
-    the config and --out and calls `body(config, load_gbm, solver_config,
-    out_dir)`; `body` makes its own checks before `load_gbm()`, which may
-    read a price file.  Errors exit with their EXIT_CODES; a run that
-    succeeds prints how long it took, which no written file records.
+    The command takes --config and --out, checks both and calls
+    `body(config, load_gbm, solver_config, out_dir)`; `body` makes its own
+    checks before `load_gbm()`, which may read a price file.  Errors exit
+    with their EXIT_CODES; a run that succeeds prints how long it took,
+    which no written file records.
     """
     def register(body):
         @main.command(name, help=body.__doc__)
         @click.option("--config", "config_path", required=True, type=str,
                       help="JSON run configuration.")
-        @click.option("--seed", type=int, default=None, help="Override master seed.")
         @click.option("--out", "out_dir", type=str, default=".",
                       help="Output directory.")
-        @click.option("--samples", type=int, default=None,
-                      help="Override samples per node.")
-        @click.option("--grid", type=int, default=None,
-                      help="Override price grid size.")
         @handle_errors
-        def command(config_path, out_dir, **flags):  # flags: seed, samples, grid
+        def command(config_path, out_dir):
             start = time.perf_counter()
             config = _load_config(config_path)
             _check_out_dir(out_dir)
-            body(config, _gbm_loader(config), _solver_config(config, **flags), out_dir)
+            body(config, _gbm_loader(config), _solver_config(config), out_dir)
             click.echo(f"{name} took {time.perf_counter() - start:.3f} s")
 
         return command
@@ -347,17 +339,9 @@ def monitor_cmd(config, load_gbm, solver_config, out_dir):
     """Solve the boundary and test daily prices against it; writes monitor.json."""
     plant = _plant(config, solver_config)
     block = _required(config, "monitor")
-    if ("prices_csv" in block) == ("prices" in block):
-        raise ConfigError("monitor config needs exactly one of 'prices_csv' or 'prices'")
-    if "prices" in block and "columns" in block:
-        raise ConfigError("monitor.columns applies only to monitor.prices_csv")
-    n_times = TimeGrid(plant.horizon).n_steps + 1
-    if "prices" in block:
-        prices = check_prices(block["prices"], n_times)
     gbm = load_gbm()
-    if "prices_csv" in block:
-        series = load_price_csv(block["prices_csv"], columns=block.get("columns"))
-        prices = check_prices(series.prices, n_times)
+    series = load_price_csv(block["prices_csv"], columns=block.get("columns"))
+    prices = check_prices(series.prices, TimeGrid(plant.horizon).n_steps + 1)
     _, boundary = solve_boundary(gbm, plant, solver_config)
     report = monitor(boundary, prices)
     _write_outputs(out_dir, {"monitor.json": _json_writer(asdict(report))})

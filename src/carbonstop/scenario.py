@@ -49,11 +49,11 @@ def check_prices(prices, n_times: int) -> np.ndarray:
         isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
         for p in items
     ):
-        raise DataError("monitor.prices must be a flat sequence of numbers")
+        raise DataError("prices must be a flat sequence of numbers")
     try:
         values = items.astype(float)
     except OverflowError as exc:
-        raise DataError(f"monitor.prices: {exc}") from exc
+        raise DataError(f"prices: {exc}") from exc
     bad = ~(np.isfinite(values) & (values > 0))
     if bad.any():
         i = int(np.argmax(bad))

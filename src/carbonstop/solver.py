@@ -44,7 +44,8 @@ ABOVE_GRID = "ABOVE_GRID"
 
 DEFAULT_SAMPLES = 2000
 DEFAULT_GRID_SIZE = 200
-DEFAULT_TOL_SCALE = 1e-6
+# U <= STOP_TOL_SCALE * P * T counts as U = 0 (see `stop_tolerance`).
+STOP_TOL_SCALE = 1e-6
 # A block of slices holds a few float arrays of at most max(samples,
 # BLOCK_DRAWS) draws and its stencils of up to 2 * grid + 3 entries a slice,
 # so these caps bound its memory at tens of MB; the lattice itself is two
@@ -169,34 +170,29 @@ def geometric_price_grid(lo: float, hi: float, size: int) -> PriceGrid:
 class SolverConfig:
     """Monte Carlo solver knobs.
 
-    `stop_tol_scale` (finite, >= 0) sets the absolute tolerance for
-    declaring U = 0 as stop_tol_scale * P * T, the natural magnitude of U
-    for the plant's constant unit profit P.  `price_grid` overrides the
-    auto-built geometric grid (needed for common-grid comparisons across
-    parameter variants); like every `PriceGrid` it is log-uniform.
-    `samples_per_node` is capped at MAX_SAMPLES and `grid_size` (also the
-    cell count of a given `price_grid`) at MAX_GRID_SIZE, which bounds a
-    slice's memory whatever the input.
+    `price_grid` overrides the auto-built geometric grid (needed for
+    common-grid comparisons across parameter variants); like every
+    `PriceGrid` it is log-uniform.  `samples_per_node` and `grid_size` must
+    be integers (Python or numpy); `samples_per_node` is capped at
+    MAX_SAMPLES and `grid_size` (also the cell count of a given
+    `price_grid`) at MAX_GRID_SIZE, which bounds a slice's memory whatever
+    the input.
     """
 
     samples_per_node: int = DEFAULT_SAMPLES
     grid_size: int = DEFAULT_GRID_SIZE
     seed: Seed = field(default_factory=Seed)
-    stop_tol_scale: float = DEFAULT_TOL_SCALE
     price_grid: PriceGrid | None = None
 
     def __post_init__(self):
-        if not (100 <= self.samples_per_node <= MAX_SAMPLES):
-            raise ConfigError(f"samples_per_node must be in [100, {MAX_SAMPLES}]")
-        if not (2 <= self.grid_size <= MAX_GRID_SIZE):
-            raise ConfigError(f"grid_size must be in [2, {MAX_GRID_SIZE}]")
+        samples, size = self.samples_per_node, self.grid_size
+        if not (isinstance(samples, (int, np.integer)) and 100 <= samples <= MAX_SAMPLES):
+            raise ConfigError(f"samples_per_node must be an integer in [100, {MAX_SAMPLES}]")
+        if not (isinstance(size, (int, np.integer)) and 2 <= size <= MAX_GRID_SIZE):
+            raise ConfigError(f"grid_size must be an integer in [2, {MAX_GRID_SIZE}]")
         grid = self.price_grid
         if grid is not None and len(grid.levels) > MAX_GRID_SIZE + 1:
             raise ConfigError(f"price_grid must have at most {MAX_GRID_SIZE} cells")
-        if not (0 <= self.stop_tol_scale < math.inf):
-            raise ConfigError(
-                f"stop_tol_scale must be finite and >= 0, got {self.stop_tol_scale}"
-            )
 
     def resolve_grid(self, gbm: GbmParams, plant: PlantParams) -> PriceGrid:
         if self.price_grid is not None:
@@ -350,9 +346,9 @@ class SliceDraws:
     is invariant under translation on a log grid, so y_0 does not enter.
     Without `shared` only the current block is kept, at most BLOCK_DRAWS
     draws (one slice's above that).  A shared-grid drive passes one `shared`
-    object to all of its solves: it keeps whole blocks up to
-    SHARED_DRAW_BYTES, never draws a kept slice again, and rebuilds a slice
-    past that in each solve from the same stream, to the same bits.
+    object to all of its solves: it keeps whole blocks from the top down
+    until one does not fit in SHARED_DRAW_BYTES, and rebuilds each slice
+    below them in each solve from the same stream, to the same bits.
     """
 
     def __init__(
@@ -381,17 +377,15 @@ class SliceDraws:
             self._block = {}  # so that two blocks are never held at once
             seed, samples, (drift, vol), log_step, n = self.key
             start = max(0, i + 1 - max(1, BLOCK_DRAWS // samples))
-            start = max([start, *(j + 1 for j in range(start, i) if j in self._kept)])
             z = np.empty((i + 1 - start, samples))
             for k, row in enumerate(z, start):
                 seed.stream(k).standard_normal(out=row)
             z *= vol
             z += drift
             self._block = dict(enumerate(_Stencil.build(z, log_step, n), start))
-            size = sum(stencil.nbytes for stencil in self._block.values())
-            if size <= self._room:
+            self._room -= sum(stencil.nbytes for stencil in self._block.values())
+            if self._room >= 0:
                 self._kept.update(self._block)
-                self._room -= size
         return self._block[i]
 
 
@@ -492,16 +486,17 @@ def solve_backward(
     return ValueGrid(time_grid, grid, plant.emission_rate, U, G)
 
 
-def stop_tolerance(plant: PlantParams, config: SolverConfig) -> float:
-    return config.stop_tol_scale * plant.unit_profit * plant.horizon
+def stop_tolerance(plant: PlantParams, config: SolverConfig | None = None) -> float:
+    """The U at or below which a node stops: STOP_TOL_SCALE * P * T, a small
+    fraction of the natural magnitude of U for the plant's unit profit P.
+
+    `config` is ignored; perfbench still passes a SolverConfig, and the
+    parameter goes when it passes the plant alone (ROADMAP item 1a).
+    """
+    return STOP_TOL_SCALE * plant.unit_profit * plant.horizon
 
 
-def extract_boundary(
-    grid: ValueGrid,
-    config: SolverConfig,
-    gbm: GbmParams,
-    plant: PlantParams,
-) -> Boundary:
+def extract_boundary(grid: ValueGrid, gbm: GbmParams, plant: PlantParams) -> Boundary:
     """Smallest grid level per time where the waiting premium has vanished.
 
     U is exactly nonincreasing in y under the shared-draw scheme, so the
@@ -512,7 +507,7 @@ def extract_boundary(
     """
     levels = grid.price_grid.levels
     times = grid.time_grid.times
-    stops = grid.U <= stop_tolerance(plant, config)
+    stops = grid.U <= stop_tolerance(plant)
     stops[-1] = levels >= plant.unit_profit
     values = np.where(stops.any(axis=1), levels[np.argmax(stops, axis=1)], np.inf)
     lbs = np.array([lower_bound(plant, gbm, t) for t in times.tolist()])
@@ -528,7 +523,7 @@ def solve_boundary(
     """Solve the lattice on the daily time grid and extract the raw boundary."""
     config = config or SolverConfig()
     grid = solve_backward(gbm, plant, config=config, draws=draws)
-    return grid, extract_boundary(grid, config, gbm, plant)
+    return grid, extract_boundary(grid, gbm, plant)
 
 
 def time_index(times: np.ndarray, t: float) -> int:

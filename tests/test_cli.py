@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,15 @@ def assert_config_error(result):
     assert result.exit_code == 2, (result.output, result.exception)
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.output
+
+
+def write_prices(tmp_path, prices, name="prices.csv", header=("date", "close")):
+    """A price CSV of `prices` on consecutive January 2020 days; its path."""
+    path = tmp_path / name
+    path.write_text(",".join(header) + "\n" + "".join(
+        f"2020-01-{day:02d},{price}\n" for day, price in enumerate(prices, 1)
+    ))
+    return str(path)
 
 
 PRICE_CSV = """date,close,volume
@@ -168,38 +178,17 @@ def test_solve_is_byte_deterministic(runner, tmp_path):
             assert result.output.splitlines()[-1].startswith(f"{command} took ")
 
 
-def test_solve_seed_override_changes_output(runner, tmp_path):
-    config = write_config(tmp_path, base_config())
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    runner.invoke(main, ["solve", "--config", config, "--out", str(out1)])
-    runner.invoke(
-        main, ["solve", "--config", config, "--out", str(out2), "--seed", "99"]
-    )
-    s1 = json.loads((out1 / "summary.json").read_text())
-    s2 = json.loads((out2 / "summary.json").read_text())
-    assert s1["seed"] == 1 and s2["seed"] == 99
-
-
 def test_solve_keeps_json_seeds_past_2_pow_53_exact(runner, tmp_path):
     # 2**53 and 2**53 + 1 are the same float but two different u64 seeds
     seeds = []
-    for seed in (2**53, 2**53 + 1):
+    for seed in (2**53, 2**53 + 1, 2**64 - 1):
         payload = base_config()
         payload["solver"]["seed"] = seed
         config, out = write_config(tmp_path, payload), tmp_path / str(seed)
         result = runner.invoke(main, ["solve", "--config", config, "--out", str(out)])
         assert result.exit_code == 0, result.output
         seeds.append(json.loads((out / "summary.json").read_text())["seed"])
-    assert seeds == [2**53, 2**53 + 1]
-
-
-def test_solve_accepts_largest_u64_seed_flag(runner, tmp_path):
-    config, out = write_config(tmp_path, base_config()), tmp_path / "run"
-    result = runner.invoke(
-        main, ["solve", "--config", config, "--out", str(out), "--seed", str(2**64 - 1)]
-    )
-    assert result.exit_code == 0, result.output
-    assert json.loads((out / "summary.json").read_text())["seed"] == 2**64 - 1
+    assert seeds == [2**53, 2**53 + 1, 2**64 - 1]
 
 
 def test_solve_with_estimated_parameters(runner, tmp_path):
@@ -215,7 +204,7 @@ def test_solve_with_estimated_parameters(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
-def test_solve_config_errors_exit_2(runner, tmp_path):
+def test_solve_config_errors_exit_2(runner, tmp_path, monkeypatch):
     # missing plant section
     payload = base_config()
     del payload["plant"]
@@ -241,6 +230,14 @@ def test_solve_config_errors_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["solve", "--config", str(tmp_path / "none.json")])
     assert result.exit_code == 2
 
+    # the config is the one source of the solver settings: no override flags
+    fail_if_called(monkeypatch)
+    config = write_config(tmp_path, base_config(), "c3.json")
+    for flag in ("--seed", "--samples", "--grid"):
+        result = runner.invoke(main, ["solve", "--config", config, flag, "3"])
+        assert result.exit_code == 2
+        assert f"No such option '{flag}'" in result.output
+
 
 @pytest.mark.parametrize(
     "section, key, value",
@@ -251,8 +248,6 @@ def test_solve_config_errors_exit_2(runner, tmp_path):
         ("plant", "M", math.nan),
         ("plant", "P", math.inf),
         ("plant", "T", math.inf),
-        ("solver", "stop_tol_scale", -1e-6),
-        ("solver", "stop_tol_scale", math.nan),
         ("solver", "samples", math.inf),
     ],
 )
@@ -277,7 +272,7 @@ def test_upgrade_non_finite_exits_2(runner, tmp_path, key):
 @pytest.mark.parametrize("command", ["solve", "monitor"])
 def test_upgrade_block_refused_outside_upgrade(runner, tmp_path, command):
     payload = upgrade_config()
-    payload["monitor"] = {"prices": [1.0, 2.0]}
+    payload["monitor"] = {"prices_csv": "prices.csv"}
     result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
     assert result.exit_code == 2
     lines = result.output.strip().splitlines()
@@ -328,8 +323,7 @@ def test_config_command_help(runner, command):
     assert result.exit_code == 0, result.output
     text = " ".join(result.output.split())  # click may wrap long lines
     assert DESCRIPTIONS[command] in text
-    for option in ("--config", "--seed", "--out", "--samples", "--grid"):
-        assert option in text
+    assert set(re.findall(r"--[a-z-]+", text)) == {"--config", "--out", "--help"}
 
 
 # --- monitor --------------------------------------------------------------------
@@ -337,7 +331,7 @@ def test_config_command_help(runner, command):
 
 def test_monitor_command(runner, tmp_path):
     payload = base_config()
-    payload["monitor"] = {"prices": [1.0, 2.0, 60.0]}
+    payload["monitor"] = {"prices_csv": write_prices(tmp_path, [1.0, 2.0, 60.0])}
     config = write_config(tmp_path, payload)
     out = tmp_path / "mon"
     result = runner.invoke(main, ["monitor", "--config", config, "--out", str(out)])
@@ -350,25 +344,12 @@ def test_monitor_command(runner, tmp_path):
 
 def test_monitor_rejects_bad_prices_exits_3(runner, tmp_path):
     payload = base_config()
-    payload["monitor"] = {"prices": [math.nan, 1000.0]}
+    payload["monitor"] = {"prices_csv": write_prices(tmp_path, [math.nan, 1000.0])}
     result = runner.invoke(
         main, ["monitor", "--config", write_config(tmp_path, payload)]
     )
     assert result.exit_code == 3
-    assert "positive and finite" in result.output
-
-
-@pytest.mark.parametrize(
-    "prices", [5, [[30, 40]], [True, 50], ["30", 40], [None]],
-    ids=["scalar", "nested", "bool", "string", "null"],
-)
-def test_monitor_rejects_prices_that_are_not_a_list_of_numbers(runner, tmp_path, prices):
-    payload = base_config()
-    payload["monitor"] = {"prices": prices}
-    config = write_config(tmp_path, payload)
-    result = runner.invoke(main, ["monitor", "--config", config, "--out", str(tmp_path)])
-    assert result.exit_code == 3, (result.output, result.exception)
-    assert "monitor.prices" in result.output
+    assert "non-finite price nan" in result.output
 
 
 def test_monitor_requires_prices(runner, tmp_path):
@@ -379,26 +360,18 @@ def test_monitor_requires_prices(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "source, prices, message",
-    [
-        ("prices", [1, 2, "x"], "monitor.prices must be a flat sequence of numbers"),
-        ("prices", list(range(1, 31)), "30 prices exceed the boundary grid of 21 times"),
-        ("prices_csv", list(range(1, 31)), "30 prices exceed the boundary grid of 21 times"),
-    ],
-    ids=["inline-text", "inline-too-many", "csv-too-many"],
+    "prices, message",
+    [(list(range(1, 31)), "30 prices exceed the boundary grid of 21 times")],
+    ids=["csv-too-many"],
 )
-def test_monitor_checks_prices_before_the_solve(runner, tmp_path, monkeypatch, source,
-                                                prices, message):
+def test_monitor_checks_prices_before_the_solve(runner, tmp_path, monkeypatch, prices,
+                                                message):
     def unsolved(*args, **kwargs):
         raise AssertionError("the lattice was solved before the prices were checked")
 
     monkeypatch.setattr(cli, "solve_boundary", unsolved)
     payload = base_config()  # T = 20: 21 times
-    if source == "prices_csv":
-        rows = [f"2020-01-{day:02d},{price}" for day, price in enumerate(prices, 1)]
-        (tmp_path / "prices.csv").write_text("\n".join(["date,close", *rows]) + "\n")
-        prices = str(tmp_path / "prices.csv")
-    payload["monitor"] = {source: prices}
+    payload["monitor"] = {"prices_csv": write_prices(tmp_path, prices)}
     result = runner.invoke(main, ["monitor", "--config", write_config(tmp_path, payload)])
     assert result.exit_code == 3, (result.output, result.exception)
     assert message in result.output
@@ -407,14 +380,11 @@ def test_monitor_checks_prices_before_the_solve(runner, tmp_path, monkeypatch, s
 @pytest.mark.parametrize(
     "command, block, message",
     [
-        ("monitor", {"prices_csv": "prices.csv", "prices": [1.0]}, "exactly one"),
-        ("monitor", {"prices": [1.0], "columns": {"price": "close"}}, "monitor.columns"),
         ("surface", {"T": 10, "p_values": [5, 10], "p_start": 5, "p_stop": 10,
                      "p_step": 5}, "exactly one"),
         ("surface", {"T": 10, "p_values": [5, 10], "p_step": 5}, "exactly one"),
     ],
-    ids=["monitor-csv-and-prices", "monitor-columns-with-prices",
-         "surface-values-and-range", "surface-values-and-step"],
+    ids=["surface-values-and-range", "surface-values-and-step"],
 )
 def test_two_sources_for_one_input_exit_2(runner, tmp_path, monkeypatch, command,
                                           block, message):
@@ -489,7 +459,7 @@ NUMERIC_FIELDS = (
     + [("surface", ("surface",), key) for key in ("T", "p_start", "p_stop", "p_step")]
     + [("surface", ("surface", "survival_query"), key) for key in ("t", "y")]
     + [("solve", ("solver",), key)
-       for key in ("samples", "grid", "seed", "stop_tol_scale", "grid_min", "grid_max")]
+       for key in ("samples", "grid", "seed", "grid_min", "grid_max")]
 )
 
 
@@ -753,24 +723,18 @@ MONITOR_PRICES = [1.0, 2.0, 60.0, 3.0]
 
 def test_monitor_price_csv_matches_inline_prices(runner, tmp_path):
     reports = []
-    for source in ("inline", "csv", "csv-columns"):
+    for source in ("csv", "csv-columns"):
         payload = base_config()
         header = ("day", "settle") if source == "csv-columns" else ("date", "close")
-        csv_path = tmp_path / f"{source}.csv"
-        csv_path.write_text(",".join(header) + "\n" + "".join(
-            f"2020-01-{day:02d},{price}\n" for day, price in enumerate(MONITOR_PRICES, 2)
-        ))
-        if source == "inline":
-            payload["monitor"] = {"prices": MONITOR_PRICES}
-        else:
-            payload["monitor"] = {"prices_csv": str(csv_path)}
+        csv_path = write_prices(tmp_path, MONITOR_PRICES, f"{source}.csv", header)
+        payload["monitor"] = {"prices_csv": csv_path}
         if source == "csv-columns":
             payload["monitor"]["columns"] = {"date": "day", "price": "settle"}
         config, out = write_config(tmp_path, payload), tmp_path / source
         result = runner.invoke(main, ["monitor", "--config", config, "--out", str(out)])
         assert result.exit_code == 0, result.output
         reports.append((out / "monitor.json").read_bytes())
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1]
     report = json.loads(reports[0])
     assert (report["crossed"], report["crossing_index"]) == (True, 2)
 
@@ -864,7 +828,8 @@ P_LIST = "p_values must be nonempty, positive and distinct"
         ("surface", "plant", {"M": "x", "Q": 1}, "unknown key 'Q' in plant"),
         ("surface", "plant", {"M": "x", "P": 14.7, "T": 20}, "plant.M must be a finite"),
         ("surface", "plant", {"M": 0.014}, "plant config missing field 'P'"),
-        ("surface", "monitor", {"prices": "abc", "zzz": 1}, "unknown key 'zzz' in monitor"),
+        ("surface", "monitor", {"prices_csv": "abc", "zzz": 1},
+         "unknown key 'zzz' in monitor"),
         ("monitor", "monitor", {"prices_csv": "no_such.csv", "columns": {"date": 1}},
          "monitor.columns.date must be a string"),
         ("surface", "solver", {"smooth": "isotonic"}, "unknown key 'smooth' in solver"),
@@ -879,6 +844,9 @@ P_LIST = "p_values must be nonempty, positive and distinct"
         ("surface", "surface", {"T": 10, "p_values": []}, P_LIST),
         ("surface", "surface", {"T": 10, "p_values": [-1, 5]}, P_LIST),
         ("surface", "surface", {"T": 10, "p_values": [5, 5]}, P_LIST),
+        ("solve", "solver", {"stop_tol_scale": 1e-6}, "unknown key 'stop_tol_scale'"),
+        ("monitor", "monitor", {"prices_csv": "no_such.csv", "prices": [1.0]},
+         "unknown key 'prices' in monitor"),
     ],
     ids=["solver-unknown-key", "plant-text", "unread-surface-text", "estimate-bad-date",
          "estimate-bad-y0", "estimate-null-start", "estimate-empty-end",
@@ -887,7 +855,7 @@ P_LIST = "p_values must be nonempty, positive and distinct"
          "monitor-columns-text", "solver-smooth", "solve-lattice-cap",
          "monitor-lattice-cap", "upgrade-lattice-cap", "solve-horizon-off-grid",
          "upgrade-day-after-horizon", "surface-no-p", "surface-negative-p",
-         "surface-repeated-p"],
+         "surface-repeated-p", "solver-stop-tol-scale", "monitor-inline-prices"],
 )
 def test_whole_config_checked_before_any_file(runner, tmp_path, monkeypatch, command,
                                               section, block, message):

@@ -97,7 +97,7 @@ def test_monitor_accepts_shorter_window():
 )
 def test_monitor_refuses_prices_that_are_not_numbers(prices):
     # a plain float conversion would read "30" as 30.0 and True as 1.0
-    with pytest.raises(DataError, match="monitor.prices"):
+    with pytest.raises(DataError, match="prices must be a flat sequence of numbers"):
         monitor(flat_boundary([35.0] * 3), prices)
 
 
@@ -354,14 +354,11 @@ def test_surface_draws_each_slice_once_within_the_cap(monkeypatch, streams):
             assert n_steps < len(streams) < n_steps * len(plants)
 
 
-def test_surface_whose_cap_runs_out_within_a_block_equals_independent_solves(
-    monkeypatch, streams
-):
-    # Room for one block and a half: the first solve keeps the top block
-    # whole and the next one not at all, so every later solve redraws each
-    # slice below the top block once, and the bits stay those of solves of
-    # their own.
-    gbm, horizon, p_values = CRITERION_7
+def sweep_with_room_for_a_block_and_a_half(monkeypatch, streams, horizon, p_values):
+    """Sweep criterion 7's market over `p_values` with SHARED_DRAW_BYTES at
+    1.5 top blocks, checking that only the top block is kept and that the
+    bits are those of solves of their own; the number of streams drawn."""
+    gbm = CRITERION_7[0]
     config = SolverConfig(samples_per_node=1000, seed=Seed(42))
     plants = [PlantParams(1.0, float(p), horizon) for p in p_values]
     solo = solo_config(gbm, plants, config)
@@ -372,11 +369,32 @@ def test_surface_whose_cap_runs_out_within_a_block_equals_independent_solves(
 
     streams.clear()
     B = surface(gbm, horizon, p_values, config).B
-    assert len(streams) == n_steps + (len(plants) - 1) * (n_steps - block)
-    assert n_steps < len(streams) < n_steps * len(plants)
+    drawn = len(streams)
+    assert drawn == n_steps + (len(plants) - 1) * (n_steps - block)
+    assert n_steps < drawn < n_steps * len(plants)
     for k, plant in enumerate(plants):
         _, boundary = solve_boundary(gbm, plant, solo)
         assert np.array_equal(bits(B[:, k]), bits(boundary.values))
+    return drawn
+
+
+def test_surface_whose_cap_runs_out_within_a_block_equals_independent_solves(
+    monkeypatch, streams
+):
+    # Room for one block and a half: the first solve keeps the top block
+    # whole and the next one not at all, so every later solve redraws each
+    # slice below the top block once, and the bits stay those of solves of
+    # their own.
+    _, horizon, p_values = CRITERION_7
+    sweep_with_room_for_a_block_and_a_half(monkeypatch, streams, horizon, p_values)
+
+
+def test_surface_keeps_no_block_below_one_that_did_not_fit(monkeypatch, streams):
+    # At T = 145 the bottom block holds one slice (145 % 8 == 1), which would
+    # fit in the room the top block leaves; the kept slices stay one run
+    # from the top, so each later solve draws the 137 below the top block.
+    drawn = sweep_with_room_for_a_block_and_a_half(monkeypatch, streams, 145, (10, 20, 30))
+    assert drawn == 145 + 2 * 137 == 419
 
 
 def test_one_p_sweep_keeps_no_slices():

@@ -200,11 +200,15 @@ def test_solver_config_validation():
             SolverConfig(grid_size=size)
     with pytest.raises(ConfigError, match="price_grid"):
         SolverConfig(price_grid=geometric_price_grid(1.0, 100.0, MAX_GRID_SIZE + 1))
+    # a float count, integral or not, is refused here, not inside numpy
+    for samples in (300.5, 2000.0):
+        with pytest.raises(ConfigError, match="samples_per_node must be an integer"):
+            SolverConfig(samples_per_node=samples)
+    for size in (50.5, 200.0):
+        with pytest.raises(ConfigError, match="grid_size must be an integer"):
+            SolverConfig(grid_size=size)
     SolverConfig(samples_per_node=MAX_SAMPLES, grid_size=MAX_GRID_SIZE)
-    for scale in (-1e-6, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="stop_tol_scale"):
-            SolverConfig(stop_tol_scale=scale)
-    SolverConfig(stop_tol_scale=0.0)
+    SolverConfig(samples_per_node=np.int64(300), grid_size=np.int32(50))
 
 
 def test_stop_tolerance_scaling():
