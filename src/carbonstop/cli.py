@@ -38,8 +38,8 @@ from .scenario import (
     surface,
 )
 from .solver import (
-    MAX_LATTICE_NODES, SolverConfig, TimeGrid, check_lattice_nodes, geometric_price_grid,
-    solve_boundary, time_index,
+    SolverConfig, TimeGrid, check_lattice_nodes, geometric_price_grid, solve_boundary,
+    time_index,
 )
 
 # The exit code of each error a command may raise; 0 is success.
@@ -194,7 +194,8 @@ def _plant(config: dict, solver_config: SolverConfig, upgrades: bool = False) ->
     if upgrades and "upgrade" not in block:
         raise ConfigError("plant config has no 'upgrade' block")
     plant = PlantParams(block["M"], block["P"], block["T"])
-    check_lattice_nodes(TimeGrid(plant.horizon), solver_config.grid_size)
+    size = solver_config.grid_size
+    check_lattice_nodes(TimeGrid(plant.horizon), size + 1, f"grid size {size}")
     return plant
 
 
@@ -381,13 +382,9 @@ def surface_cmd(config, load_gbm, solver_config, out_dir):
         if step <= 0:
             raise ConfigError(f"surface.p_step must be positive, got {step}")
         count, key = (stop + 1e-9 - start) / step, "surface.p_step"  # np.arange's length
-    nodes = float(time_grid.n_steps + 1) * count
-    if nodes > MAX_LATTICE_NODES:
-        raise ConfigError(
-            f"{key} gives {count:.6g} P levels over {time_grid.n_steps + 1} times: "
-            f"{nodes:.6g} surface nodes, more than MAX_LATTICE_NODES = {MAX_LATTICE_NODES}"
-        )
-    check_lattice_nodes(time_grid, solver_config.grid_size)
+    check_lattice_nodes(time_grid, count, f"{key} giving {count:.6g} P levels")
+    size = solver_config.grid_size
+    check_lattice_nodes(time_grid, size + 1, f"grid size {size}")
     if "p_values" not in block:
         p_values = np.arange(start, stop + 1e-9, step)
     p_values = p_levels(p_values)

@@ -92,11 +92,14 @@ def load_price_csv(path, columns: dict[str, str] | None = None) -> PriceSeries:
             line_no = reader.line_num
             dates.append(_parse_date(row[mapping["date"]], line_no))
             try:
-                prices.append(float(row[mapping["price"]]))
+                price = float(row[mapping["price"]])
             except (TypeError, ValueError) as exc:
                 raise DataError(
                     f"line {line_no}: unparseable price {row[mapping['price']]!r}"
                 ) from exc
+            if not (0 < price < math.inf):
+                raise DataError(f"line {line_no}: non-positive or non-finite price {price}")
+            prices.append(price)
 
     return PriceSeries(tuple(dates), tuple(prices))
 

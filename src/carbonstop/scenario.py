@@ -2,10 +2,10 @@
 
 All multi-solve operations reuse the same master seed and a shared price
 grid (common random numbers), so the monotone orderings they report hold
-exactly, not just in expectation.  Their solves also share one
-`SliceDraws`: each slice's normals and stencil are made once per drive, and
-every plant after the first only applies them, to the same bits that an
-independent solve on that grid and seed gives.
+exactly, not just in expectation.  Their solves also share one draw cache:
+each slice's normals and stencil are made once per drive, and every plant
+after the first only applies them, to the same bits that an independent
+solve on that grid and seed gives.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from .gbm import GbmParams
 from .plant import PlantParams, Upgrade
 from .solver import (
     Boundary,
-    SliceDraws,
     SolverConfig,
     TimeGrid,
+    check_lattice_nodes,
     default_price_grid,
     geometric_price_grid,
     solve_boundary,
@@ -93,9 +93,9 @@ def _solve_shared(
     price grid wide enough for all of them (common random numbers).
 
     Every solve is a `solve_boundary` call of its own, handed the drive's
-    one `SliceDraws`: with more than one plant, the first solve builds each
+    one draw cache: with more than one plant, the first solve builds each
     slice's draws and stencil and keeps them (up to solver.SHARED_DRAW_BYTES),
-    and the others only apply them; a lone plant keeps none.
+    and the others only apply them; a lone plant gets none and keeps none.
     """
     config = config or SolverConfig()
     if config.price_grid is None:
@@ -104,9 +104,8 @@ def _solve_shared(
         hi = max(s[-1] for s in spans)
         grid = geometric_price_grid(lo, hi, config.grid_size)
         config = replace(config, price_grid=grid)
-    time_grid = TimeGrid(plants[0].horizon)
-    draws = SliceDraws(gbm, config, config.price_grid, time_grid, shared=len(plants) > 1)
-    return [solve_boundary(gbm, pl, config, draws)[1] for pl in plants]
+    shared = {} if len(plants) > 1 else None
+    return [solve_boundary(gbm, pl, config, shared)[1] for pl in plants]
 
 
 def check_upgrade_day(plant: PlantParams, upgrade: Upgrade) -> None:
@@ -195,9 +194,10 @@ def surface(
     """One boundary per P level, solved with a shared seed and price grid.
 
     The boundary does not depend on the emission rate, so every level is
-    solved with M = 1.
+    solved with M = 1; the sweep's size is checked before any plant is built.
     """
     p_values = p_levels(p_values)
+    check_lattice_nodes(TimeGrid(horizon), len(p_values), f"{len(p_values)} P levels")
     plants = [
         PlantParams(emission_rate=1.0, unit_profit=float(p), horizon=horizon)
         for p in p_values

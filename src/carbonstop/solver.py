@@ -21,7 +21,7 @@ and a slice costs O(samples + levels * stencil width) time.  None of that
 depends on C, P or M, so the slices are drawn and binned into `_Stencil`s a
 block of K = max(1, BLOCK_DRAWS // samples) at a time, one numpy pass per
 step for the whole block, and a block takes O(K * (samples + levels))
-memory.  A shared-grid drive hands one `SliceDraws` to all of its solves,
+memory.  A shared-grid drive hands one draw cache to all of its solves,
 so that every plant after the first only applies the stencils.
 """
 from __future__ import annotations
@@ -344,11 +344,11 @@ class SliceDraws:
     slice depends on the seed, the sample count, the one-step log law, the
     grid's log step and its level count, and on nothing else: the operator
     is invariant under translation on a log grid, so y_0 does not enter.
-    Without `shared` only the current block is kept, at most BLOCK_DRAWS
-    draws (one slice's above that).  A shared-grid drive passes one `shared`
-    object to all of its solves: it keeps whole blocks from the top down
-    until one does not fit in SHARED_DRAW_BYTES, and rebuilds each slice
-    below them in each solve from the same stream, to the same bits.
+    `key` holds those.  Without `shared` only the current block is kept, at
+    most BLOCK_DRAWS draws (one slice's above that).  A shared one, filed
+    under its key in a drive's draw cache, keeps whole blocks from the top
+    down until one does not fit in SHARED_DRAW_BYTES; each solve rebuilds
+    the slices below them from the same stream, to the same bits.
     """
 
     def __init__(
@@ -356,13 +356,13 @@ class SliceDraws:
         gbm: GbmParams,
         config: SolverConfig,
         grid: PriceGrid,
-        time_grid: TimeGrid,
+        delta: float = 1.0,
         shared: bool = False,
     ):
         self.key = (
             config.seed,
             config.samples_per_node,
-            gbm.log_increment(time_grid.delta),
+            gbm.log_increment(delta),
             grid.log_step,
             len(grid.levels),
         )
@@ -389,14 +389,14 @@ class SliceDraws:
         return self._block[i]
 
 
-def check_lattice_nodes(time_grid: TimeGrid, grid_size: int) -> None:
-    """Refuse a lattice of more than MAX_LATTICE_NODES nodes, the grid's
-    times by `grid_size + 1` price levels, without building any of it."""
-    nodes = float(time_grid.n_steps + 1) * (grid_size + 1)  # inf past the floats
+def check_lattice_nodes(time_grid: TimeGrid, columns: float, what: str) -> None:
+    """Refuse more than MAX_LATTICE_NODES nodes, the grid's times by
+    `columns` price or P levels, named by `what`, before any is built."""
+    nodes = float(time_grid.n_steps + 1) * columns  # inf past the floats
     if nodes > MAX_LATTICE_NODES:
         raise ConfigError(
-            f"T={time_grid.horizon:g} at delta={time_grid.delta:g} with grid size "
-            f"{grid_size} makes {nodes:.6g} lattice nodes, more than "
+            f"T={time_grid.horizon:g} at delta={time_grid.delta:g} with {what} "
+            f"makes {nodes:.6g} lattice nodes, more than "
             f"MAX_LATTICE_NODES = {MAX_LATTICE_NODES}"
         )
 
@@ -404,23 +404,23 @@ def check_lattice_nodes(time_grid: TimeGrid, grid_size: int) -> None:
 def solve_backward(
     gbm: GbmParams,
     plant: PlantParams,
-    time_grid: TimeGrid | None = None,
     config: SolverConfig | None = None,
-    draws: SliceDraws | None = None,
+    shared: dict | None = None,
+    delta: float = 1.0,
 ) -> ValueGrid:
     """Fill the value lattice by the backward recursion, for constant (M, P).
 
-    Slice i takes its expectation with `draws[i]`, one batch of normals
-    binned on the grid: continuation values between levels are
-    interpolated linearly in y, and a draw that leaves the grid reads the
-    edge value (clamping).  Deterministic for a fixed seed.  `draws` lets a
-    shared-grid drive reuse the slices across its solves; without it they
-    are built a block at a time and each block is dropped once used.  Draws
-    built for another seed, sample count, time step or grid are a
-    ConfigError, and so is a lattice of more than MAX_LATTICE_NODES nodes,
-    refused before any of it is built.  The running term of every row is
-    formed in U before the recursion in three whole-lattice operations, so
-    a slice step adds its row to C and clamps C into it.
+    Slice i takes its expectation, at steps of `delta` up to the horizon,
+    with one batch of normals binned on the grid: continuation values
+    between levels are interpolated linearly in y, and a draw that leaves
+    the grid reads the edge value (clamping).  Deterministic for a fixed
+    seed.  `shared` is a shared-grid drive's draw cache, a dict: the solve
+    takes its `SliceDraws` from it by their key, so they serve every solve
+    of the same inputs and no other.  Without it, each block of slices is
+    dropped once used.  A lattice of more than MAX_LATTICE_NODES nodes is a
+    ConfigError, refused before any of it is built.  The running term of
+    every row is formed in U before the recursion in three whole-lattice
+    operations, so a slice step adds its row to C and clamps C into it.
 
     G is filled in one pass with one `immediate_value` call per node, row by
     row, on Python floats (`tolist`), not numpy scalars: the IEEE operations
@@ -431,23 +431,15 @@ def solve_backward(
     """
     check_drift(gbm, plant.horizon)
     config = config or SolverConfig()
-    time_grid = time_grid or TimeGrid(horizon=plant.horizon)
-    if abs(time_grid.horizon - plant.horizon) > 1e-9:
-        raise ConfigError("time grid horizon must match the plant horizon")
+    time_grid = TimeGrid(plant.horizon, delta)
     grid = config.resolve_grid(gbm, plant)
-    check_lattice_nodes(time_grid, len(grid.levels) - 1)
-    own = SliceDraws(gbm, config, grid, time_grid)
-    if draws is None:
-        draws = own
-    elif draws.key != own.key:
-        raise ConfigError(
-            "slice draws were built for another seed, sample count, time step "
-            "or price grid"
-        )
+    check_lattice_nodes(time_grid, len(grid.levels), f"grid size {len(grid.levels) - 1}")
+    draws = SliceDraws(gbm, config, grid, delta, shared is not None)
+    if shared is not None:
+        draws = shared.setdefault(draws.key, draws)
 
     levels = grid.levels
     times = time_grid.times
-    delta = time_grid.delta
     remaining = plant.horizon - times
     p = plant.unit_profit
 
@@ -478,7 +470,7 @@ def solve_backward(
             if not np.maximum.reduce(np.maximum(0.0, C, out=U[i])) < math.inf:
                 raise NumericError(f"non-finite values in slice t={times[i]}")
 
-    del own, draws  # a standalone solve's last block, before G joins U
+    del draws  # a standalone solve's last block, before G joins U
     ts = chain.from_iterable(map(repeat, times.tolist(), repeat(len(levels))))
     ys = chain.from_iterable(repeat(levels.tolist(), len(times)))
     nodes = map(immediate_value, repeat(plant), repeat(gbm), ts, ys)
@@ -518,11 +510,10 @@ def solve_boundary(
     gbm: GbmParams,
     plant: PlantParams,
     config: SolverConfig | None = None,
-    draws: SliceDraws | None = None,
+    shared: dict | None = None,
 ) -> tuple[ValueGrid, Boundary]:
-    """Solve the lattice on the daily time grid and extract the raw boundary."""
-    config = config or SolverConfig()
-    grid = solve_backward(gbm, plant, config=config, draws=draws)
+    """Solve the daily lattice (`shared` as in `solve_backward`); extract the boundary."""
+    grid = solve_backward(gbm, plant, config, shared)
     return grid, extract_boundary(grid, gbm, plant)
 
 

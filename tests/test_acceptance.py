@@ -17,7 +17,6 @@ from carbonstop import (
     PlantParams,
     Seed,
     SolverConfig,
-    TimeGrid,
     apply_upgrade,
     enumerate_policies,
     estimate_gbm,
@@ -181,7 +180,7 @@ def test_criterion_3_oracle_equivalence(table2):
     spec = LatticeSpec(10, 4.9)
     tree = tree_solve(gbm, plant, spec)
     grid = solve_backward(
-        gbm, plant, TimeGrid(49, 4.9), SolverConfig(seed=Seed(42), samples_per_node=50000)
+        gbm, plant, SolverConfig(seed=Seed(42), samples_per_node=50000), delta=4.9
     )
     levels = grid.price_grid.levels
     q = spec.mean_factor(gbm)

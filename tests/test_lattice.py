@@ -10,7 +10,6 @@ from carbonstop import (
     PlantParams,
     Seed,
     SolverConfig,
-    TimeGrid,
     enumerate_policies,
     solve_backward,
     tree_solve,
@@ -105,8 +104,8 @@ def test_monte_carlo_agrees_with_tree_in_continuation_region():
     grid = solve_backward(
         gbm,
         plant,
-        TimeGrid(49, 4.9),
         SolverConfig(seed=Seed(42), samples_per_node=50000),
+        delta=4.9,
     )
     u, _, _ = value_at(grid, 0.0, 10.0)
     assert u == pytest.approx(solution.root_premium, rel=0.01)

@@ -72,6 +72,13 @@ def test_load_bad_price_reports_line(tmp_path):
         load_price_csv(path)
 
 
+@pytest.mark.parametrize("price", ["nan", "0", "-1", "inf"])
+def test_load_non_positive_or_non_finite_price_reports_line(tmp_path, price):
+    path = write_csv(tmp_path / "bad.csv", ["2021-03-01,9.5,0", f"2021-03-02,{price},0"])
+    with pytest.raises(DataError, match="line 3: non-positive or non-finite price"):
+        load_price_csv(path)
+
+
 def test_load_row_without_date_reports_line(tmp_path):
     path = write_csv(tmp_path / "short.csv", ["5.0,2021-03-01", "6.0"], "close,date")
     with pytest.raises(DataError, match="line 3"):

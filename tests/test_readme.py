@@ -7,6 +7,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import carbonstop.cli as cli
+import carbonstop.solver as solver
 from carbonstop.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -57,3 +58,26 @@ def test_readme_cli_section_matches_the_cli():
                for param in command.params for opt in param.opts}
     unknown = set(re.findall(r"--[a-z][a-z-]*", section)) - options
     assert not unknown, f"README names options no command takes: {sorted(unknown)}"
+
+
+def readme_number(text: str) -> int:
+    """A README figure such as `20000`, `2^26` or `32 MiB` (2^20 bytes)."""
+    match = re.fullmatch(r"(\d+)(?:\^(\d+))?( MiB)?", " ".join(text.split()))
+    assert match, f"README figure {text!r} is not a number"
+    base, power, mib = match.groups()
+    return int(base) ** int(power or 1) * (2**20 if mib else 1)
+
+
+def test_readme_solver_constants_match_the_code():
+    # Each `NAME = value` that README gives for a solver constant is the
+    # code's value, so that neither drifts.
+    text = README.read_text(encoding="utf-8")
+    stated = [(name, value)
+              for name, value in re.findall(r"`([A-Z][A-Z_]+) =\s+([^`]+)`", text)
+              if hasattr(solver, name)]
+    assert {name for name, _ in stated} >= {
+        "BLOCK_DRAWS", "MAX_SAMPLES", "MAX_GRID_SIZE", "MAX_LATTICE_NODES",
+        "SHARED_DRAW_BYTES",
+    }, "README lost a solver constant"
+    for name, value in stated:
+        assert readme_number(value) == getattr(solver, name), f"README's {name} = {value}"

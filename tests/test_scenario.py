@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import carbonstop.scenario as scenario
 import carbonstop.solver as solver
 from carbonstop import (
     ABOVE_GRID,
@@ -18,7 +19,6 @@ from carbonstop import (
     Seed,
     SolverConfig,
     SurfaceGrid,
-    TimeGrid,
     Upgrade,
     apply_upgrade,
     default_price_grid,
@@ -206,6 +206,25 @@ def test_surface_rejects_bad_p_values():
         surface(gbm, 12, [12, 12, 14])
 
 
+def test_surface_holds_its_sweep_to_the_node_cap(monkeypatch):
+    # 12 P levels over T = 5 on an 11-level grid: the sweep's 6 x 12 = 72
+    # nodes are the larger count, and the cap on them is checked before any
+    # plant is solved.
+    gbm = GbmParams(20.0, -0.003, 0.08)
+    config = SolverConfig(samples_per_node=100, price_grid=geometric_price_grid(1, 100, 10))
+    p_values = np.arange(1.0, 13.0)
+    monkeypatch.setattr(solver, "MAX_LATTICE_NODES", 6 * 12)
+    assert surface(gbm, 5, p_values, config).B.shape == (6, 12)
+
+    def not_solved(*args, **kwargs):
+        raise AssertionError("a plant was solved before the sweep size was checked")
+
+    monkeypatch.setattr(scenario, "solve_boundary", not_solved)
+    monkeypatch.setattr(solver, "MAX_LATTICE_NODES", 6 * 12 - 1)
+    with pytest.raises(ConfigError, match="12 P levels makes 72 lattice nodes"):
+        surface(gbm, 5, p_values, config)
+
+
 def test_surface_serialization(tmp_path, small_surface):
     out = tmp_path / "surface.csv"
     small_surface.to_long_csv(out)
@@ -336,7 +355,7 @@ def test_surface_draws_each_slice_once_within_the_cap(monkeypatch, streams):
     config = SolverConfig(samples_per_node=1000, seed=Seed(42))
     plants = [PlantParams(1.0, float(p), horizon) for p in p_values]
     solo = solo_config(gbm, plants, config)
-    draws = solver.SliceDraws(gbm, solo, solo.price_grid, TimeGrid(horizon), shared=True)
+    draws = solver.SliceDraws(gbm, solo, solo.price_grid, shared=True)
     n_steps = int(horizon)
     all_slices = sum(draws[i].nbytes for i in range(n_steps))
 
@@ -362,7 +381,7 @@ def sweep_with_room_for_a_block_and_a_half(monkeypatch, streams, horizon, p_valu
     config = SolverConfig(samples_per_node=1000, seed=Seed(42))
     plants = [PlantParams(1.0, float(p), horizon) for p in p_values]
     solo = solo_config(gbm, plants, config)
-    draws = solver.SliceDraws(gbm, solo, solo.price_grid, TimeGrid(horizon), shared=True)
+    draws = solver.SliceDraws(gbm, solo, solo.price_grid, shared=True)
     n_steps, block = int(horizon), solver.BLOCK_DRAWS // config.samples_per_node
     top = sum(draws[i].nbytes for i in range(n_steps - 1, n_steps - 1 - block, -1))
     monkeypatch.setattr(solver, "SHARED_DRAW_BYTES", top * 3 // 2)

@@ -36,7 +36,6 @@ from carbonstop.solver import (
     MAX_GRID_SIZE,
     MAX_LATTICE_NODES,
     MAX_SAMPLES,
-    SliceDraws,
     _Stencil,
     stop_tolerance,
 )
@@ -229,18 +228,12 @@ def test_overflowing_drift_rejected(mu):
         solve_boundary(gbm, plant, config)
 
 
-def test_horizon_mismatch_rejected():
-    gbm, plant, config = small_case()
-    with pytest.raises(ConfigError, match="horizon"):
-        solve_backward(gbm, plant, TimeGrid(horizon=29), config)
-
-
 # --- value lattice invariants -------------------------------------------
 
 
 def test_basic_invariants():
     gbm, plant, config = small_case()
-    grid = solve_backward(gbm, plant, None, config)
+    grid = solve_backward(gbm, plant, config)
     assert (grid.U >= 0).all()
     assert (grid.U[-1] == 0).all()
     assert (grid.V >= grid.G - 1e-9).all()
@@ -249,18 +242,18 @@ def test_basic_invariants():
 
 def test_premium_monotone_in_price_per_slice():
     gbm, plant, config = small_case()
-    grid = solve_backward(gbm, plant, None, config)
+    grid = solve_backward(gbm, plant, config)
     for row in grid.U:
         assert (np.diff(row) <= 1e-12).all()
 
 
 def test_solve_is_deterministic():
     gbm, plant, config = small_case(seed=5)
-    a = solve_backward(gbm, plant, None, config)
-    b = solve_backward(gbm, plant, None, config)
+    a = solve_backward(gbm, plant, config)
+    b = solve_backward(gbm, plant, config)
     assert np.array_equal(a.U, b.U)
     assert np.array_equal(a.V, b.V)
-    c = solve_backward(gbm, plant, None, SolverConfig(
+    c = solve_backward(gbm, plant, SolverConfig(
         samples_per_node=500, grid_size=80, seed=Seed(6)))
     assert not np.array_equal(a.U, c.U)
 
@@ -303,7 +296,7 @@ def test_zero_vol_premium_matches_closed_form():
     gbm = GbmParams(21.43, -0.0020, 0.0)
     plant = PlantParams(0.014, 14.7, 30)
     config = SolverConfig(samples_per_node=200, grid_size=120, seed=Seed(0))
-    grid = solve_backward(gbm, plant, None, config)
+    grid = solve_backward(gbm, plant, config)
     levels = grid.price_grid.levels
     for i, t in enumerate(grid.time_grid.times):
         remaining = 30 - t
@@ -417,7 +410,7 @@ def test_solve_keeps_about_one_lattice_beside_its_result(samples):
     Seed(0).stream(0)
     tracemalloc.start()
     try:
-        grid = solve_backward(gbm, plant, None, SolverConfig(samples_per_node=samples))
+        grid = solve_backward(gbm, plant, SolverConfig(samples_per_node=samples))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -429,7 +422,7 @@ def test_solve_keeps_about_one_lattice_beside_its_result(samples):
 
 def test_value_at():
     gbm, plant, config = small_case()
-    grid = solve_backward(gbm, plant, None, config)
+    grid = solve_backward(gbm, plant, config)
     levels = grid.price_grid.levels
     u, v, g = value_at(grid, 0.0, float(levels[10]))
     assert u == pytest.approx(grid.U[0, 10])
@@ -506,25 +499,41 @@ def test_one_stencil_applies_to_many_continuations(case, scales):
         assert np.array_equal(kept.expected_positive_part(shifted), fresh)
 
 
-def test_slice_draws_for_other_inputs_are_refused():
+def test_draw_cache_holds_one_entry_per_key_and_serves_only_its_inputs(monkeypatch):
+    # Each variant differs from the first in one input that a slice depends
+    # on; "grid size" has the log step of "grid step" and twice its levels.
     gbm, plant, config = small_case()
-    time_grid = TimeGrid(plant.horizon)
-    grid = config.resolve_grid(gbm, plant)
-    solve_backward(gbm, plant, time_grid, config, SliceDraws(gbm, config, grid, time_grid))
-    others = {
-        "seed": (gbm, replace(config, seed=Seed(config.seed.value + 1)), grid, time_grid),
-        "samples": (gbm, replace(config, samples_per_node=config.samples_per_node + 1),
-                    grid, time_grid),
-        "grid step": (gbm, config, geometric_price_grid(1.0, 100.0, config.grid_size),
-                      time_grid),
-        "grid size": (gbm, config, geometric_price_grid(1.0, 100.0, 2 * config.grid_size),
-                      time_grid),
-        "sigma": (GbmParams(gbm.y0, gbm.mu, 2 * gbm.sigma), config, grid, time_grid),
-        "time step": (gbm, config, grid, TimeGrid(plant.horizon, 0.5)),
-    }
-    for args in others.values():
-        with pytest.raises(ConfigError, match="slice draws"):
-            solve_backward(gbm, plant, time_grid, config, SliceDraws(*args))
+    step = geometric_price_grid(1.0, 100.0, config.grid_size)
+    size = geometric_price_grid(1.0, 1e4, 2 * config.grid_size)
+    assert step.log_step == size.log_step
+    variants = [
+        (gbm, config, 1.0),
+        (gbm, replace(config, seed=Seed(config.seed.value + 1)), 1.0),
+        (gbm, replace(config, samples_per_node=config.samples_per_node + 1), 1.0),
+        (gbm, replace(config, price_grid=step), 1.0),
+        (gbm, replace(config, price_grid=size), 1.0),
+        (GbmParams(gbm.y0, gbm.mu, 2 * gbm.sigma), config, 1.0),
+        (gbm, config, 0.5),
+    ]
+    shared = {}
+    for market, settings, delta in variants:
+        U = solve_backward(market, plant, settings, shared, delta).U
+        assert same_bits(U, solve_backward(market, plant, settings, delta=delta).U)
+    assert len(shared) == len(variants)
+
+    streams, stream = [], Seed.stream
+
+    def counting(seed, *indices):
+        streams.append(indices)
+        return stream(seed, *indices)
+
+    monkeypatch.setattr(Seed, "stream", counting)
+    shared = {}
+    first = solve_backward(gbm, plant, config, shared).U
+    second = solve_backward(gbm, plant, config, shared).U
+    assert len(shared) == 1
+    assert sorted(streams) == [(i,) for i in range(int(plant.horizon))]
+    assert same_bits(first, second)
 
 
 # --- solver invariants on small lattices ------------------------------------
@@ -546,7 +555,7 @@ def small_solves(draw, sigma=st.floats(0.005, 0.1)):
 @given(case=small_solves())
 def test_stop_set_is_an_up_set_in_price(case):
     gbm, plant, config = case
-    grid = solve_backward(gbm, plant, None, config)
+    grid = solve_backward(gbm, plant, config)
     stops = (grid.U <= stop_tolerance(plant, config)).astype(int)
     assert (np.diff(stops, axis=1) >= 0).all()
 
@@ -755,7 +764,7 @@ def test_stencil_kernel_matches_its_reference_bit_for_bit(case):
 def test_slice_step_matches_its_reference_bit_for_bit(case, delta):
     gbm, plant, config = case
     time_grid = TimeGrid(plant.horizon, delta)
-    assert same_bits(solve_backward(gbm, plant, time_grid, config).U,
+    assert same_bits(solve_backward(gbm, plant, config, delta=delta).U,
                      reference_premium(gbm, plant, config, time_grid))
 
 
@@ -768,7 +777,7 @@ def test_slice_step_matches_its_reference_bit_for_bit(case, delta):
 )
 def test_default_solve_matches_its_reference_bit_for_bit(gbm, plant, delta):
     config, time_grid = SolverConfig(seed=Seed(4)), TimeGrid(plant.horizon, delta)
-    assert same_bits(solve_backward(gbm, plant, time_grid, config).U,
+    assert same_bits(solve_backward(gbm, plant, config, delta=delta).U,
                      reference_premium(gbm, plant, config, time_grid))
 
 
@@ -874,7 +883,7 @@ def test_solve_across_block_edges_matches_its_reference(monkeypatch, samples, ho
         return stream(seed, *indices)
 
     monkeypatch.setattr(Seed, "stream", counting)
-    U = solve_backward(gbm, plant, time_grid, config).U
+    U = solve_backward(gbm, plant, config).U
     assert sorted(streams) == [(i,) for i in range(time_grid.n_steps)]
     assert same_bits(U, reference_premium(gbm, plant, config, time_grid))
 
@@ -891,4 +900,4 @@ def test_non_finite_slice_is_a_numeric_error(monkeypatch, bad):
     monkeypatch.setattr(_Stencil, "expected_positive_part", spoiled)
     gbm, plant, config = small_case()
     with pytest.raises(NumericError, match=r"non-finite values in slice t=29\.0$"):
-        solve_backward(gbm, plant, None, config)
+        solve_backward(gbm, plant, config)
