@@ -568,6 +568,18 @@ def test_bad_config_value_exits_2(runner, tmp_path, command, path, key, value):
     assert key in result.output
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random loads on the first stream, not at import: importing it
+    # costs every CLI start 10-20 ms, and a command that draws nothing
+    # should not pay that.
+    env = dict(os.environ, PYTHONPATH=str(Path(carbonstop.__file__).parents[1]))
+    code = "import carbonstop.cli, sys; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("value", [0, 1.5], ids=["zero", "fraction"])
 @pytest.mark.parametrize(
     "command, section, key",

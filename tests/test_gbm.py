@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from carbonstop import ConfigError, GbmParams, NumericError, Seed, simulate_path
+from carbonstop.gbm import STATE_BATCH, _batch_states
 
 
 def test_params_validation():
@@ -21,11 +22,41 @@ def test_params_validation():
 
 
 def test_seed_validation():
-    with pytest.raises(ConfigError):
-        Seed(-1)
-    with pytest.raises(ConfigError):
-        Seed(2**64)
+    # A float seed, even an integral one, is refused here rather than by
+    # numpy inside the first solve; a numpy integer is the same seed as an int.
+    for bad in (-1, 2**64, 2.0, 1.5, "3", None):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            Seed(bad)
     Seed(2**64 - 1)
+    assert Seed(np.int64(3)) == Seed(3)
+    assert type(Seed(np.uint64(2**64 - 1)).value) is int
+
+
+@pytest.mark.parametrize("index", [-1, 2**64, 1.5], ids=["negative", "2^64", "fraction"])
+def test_stream_refuses_an_index_outside_u64(index):
+    with pytest.raises(ConfigError, match="stream index must be an integer"):
+        Seed(0).stream(index)
+
+
+SEEDS = [0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1]
+# both sides of a batch edge and of 2^32, and the last index of a batch above it
+INDICES = [0, 1, 5, 255, 256, 300, 4096, 2**32 - 1, 2**32, 2**32 + 3, 2**32 + 255, 2**64 - 1]
+
+
+@pytest.mark.parametrize("value", SEEDS)
+def test_streams_are_numpys_seed_sequence_bit_for_bit(value):
+    # The batch hash is checked against numpy itself: the solver's reference
+    # kernels draw through Seed.stream too, so they cannot vouch for it.
+    for index in INDICES:
+        expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence([value, index])))
+        assert np.array_equal(Seed(value).stream(index).standard_normal(7),
+                              expected.standard_normal(7)), index
+    for batch in {index // STATE_BATCH for index in INDICES}:
+        states = _batch_states(value, batch)
+        assert states.shape == (STATE_BATCH, 4) and states.dtype == np.uint64
+        for row, state in enumerate(states):
+            sequence = np.random.SeedSequence([value, batch * STATE_BATCH + row])
+            assert np.array_equal(state, sequence.generate_state(4, np.uint64)), (batch, row)
 
 
 def test_seed_streams_are_deterministic_and_distinct():
