@@ -6,10 +6,9 @@ the solver, its default grid and the tree oracle all read it from there.
 
 All randomness flows through numpy's PCG64 generator, stream k of a master
 seed started from the state that ``SeedSequence([seed, k])`` gives it.
-That state is hashed here, the same as numpy's but for STATE_BATCH
-aligned indices at once, and the last few batches are cached, so a stream
-costs PCG64's and the Generator's set-up, about 2 µs, where seeding
-through a SeedSequence of its own took about 11 µs.  Normal draws use
+The last 1024 such states are memoized, so reopening a stream costs only
+PCG64's and the Generator's set-up, about 2 µs; a first opening also runs
+the SeedSequence hash, about 15 µs.  Normal draws use
 ``Generator.standard_normal`` (ziggurat); the sampler choice is fixed so
 that documented example values stay stable across runs.
 """
@@ -57,12 +56,9 @@ def check_drift(params: GbmParams, horizon: float) -> None:
         raise ConfigError(f"|mu|*T = {exponent:.4g} is too large: prices overflow")
 
 
-STATE_BATCH = 256  # stream indices whose seed states are hashed at once
-_MASK32 = 0xFFFF_FFFF
-
-
 def _is_u64(value) -> bool:
-    return isinstance(value, (int, np.integer)) and 0 <= value < 2**64
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and 0 <= value < 2**64)
 
 
 @dataclass(frozen=True)
@@ -78,12 +74,10 @@ class Seed:
 
     def stream(self, index: int) -> np.random.Generator:
         """Child generator `index` (an integer in [0, 2^64)): PCG64 seeded
-        by ``SeedSequence([value, index])``, its state taken from the
-        cached hash of the index's aligned batch of STATE_BATCH."""
+        by ``SeedSequence([value, index])``, its state memoized."""
         if not _is_u64(index):
             raise ConfigError(f"stream index must be an integer in [0, 2^64), got {index!r}")
-        batch, row = divmod(int(index), STATE_BATCH)
-        state = _FixedState(_batch_states(self.value, batch)[row])
+        state = _FixedState(_seed_state(self.value, int(index)))
         return np.random.Generator(np.random.PCG64(state))
 
 
@@ -102,62 +96,17 @@ class _FixedState:
         return self.state  # PCG64 asks for 4 uint64 words, all there are
 
 
-def _words(n: int) -> list[int]:
-    """The 32-bit words of n >= 0, low first, [0] for 0: how SeedSequence
-    reads an integer of its entropy."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-@functools.lru_cache(maxsize=4)  # 8 KiB a batch
-def _batch_states(seed: int, batch: int) -> np.ndarray:
-    """Row k of the result is ``SeedSequence([seed, batch * STATE_BATCH +
-    k]).generate_state(4, np.uint64)``, read-only.
-
-    numpy's hash (pool size 4) on uint32 columns, one entry per index.  The
-    entropy is the seed's words and the index's, at most 4, so none is
-    mixed in after the pool is filled; no batch straddles 2^32, so every
-    index in it has as many words as the first and only the low one varies.
-    The multipliers' running constants stay masked Python ints, because
-    numpy warns when a uint32 scalar, not an array, overflows.
-    """
+@functools.lru_cache(maxsize=1024)  # 32 bytes of state an entry
+def _seed_state(seed: int, index: int) -> np.ndarray:
+    """``SeedSequence([seed, index]).generate_state(4, np.uint64)``, read-only
+    because every stream reopened on (seed, index) reads the same array."""
+    from numpy.random import SeedSequence
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_FixedState)
-    seed_words, index_words = _words(seed), _words(batch * STATE_BATCH)
-    entropy = np.zeros((4, STATE_BATCH), np.uint32)
-    entropy[: len(seed_words) + len(index_words)] = np.array(
-        seed_words + index_words, np.uint32)[:, None]
-    entropy[len(seed_words)] += np.arange(STATE_BATCH, dtype=np.uint32)
-
-    h = 0x43B0D7E5
-
-    def hashmix(x: np.ndarray) -> np.ndarray:
-        nonlocal h
-        x = x ^ h
-        h = h * 0x931E8875 & _MASK32
-        x = x * h
-        return x ^ x >> 16
-
-    pool = [hashmix(word) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])
-                pool[dst] = mixed ^ mixed >> 16
-
-    g = 0x8B51F9DD
-    out = []
-    for j in range(8):
-        v = pool[j % 4] ^ g
-        g = g * 0x58F38DED & _MASK32
-        v = v * g
-        out.append((v ^ v >> 16).astype(np.uint64))
-    states = np.stack([out[2 * i] | out[2 * i + 1] << 32 for i in range(4)], axis=1)
-    states.flags.writeable = False  # every stream of the batch reads it
-    return states
+    state = SeedSequence([seed, index]).generate_state(4, np.uint64)
+    state.flags.writeable = False
+    return state
 
 
 def simulate_path(
@@ -168,8 +117,10 @@ def simulate_path(
     The same (params, steps, dt, seed) always yields the identical path.  A
     path that underflows to 0 or overflows to inf is a NumericError.
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if not (_is_u64(steps) and steps >= 1):
+        raise ConfigError(f"steps must be an integer >= 1, got {steps!r}")
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
     z = seed.stream(0).standard_normal(steps)
     mean, sd = params.log_increment(dt)
     increments = mean + sd * z

@@ -340,12 +340,11 @@ class SliceDraws:
 
     Slice i is built on first use in a block with the slices below it, K =
     max(1, BLOCK_DRAWS // samples) in all, row k from its own
-    `Seed.stream(k)` (whose seed state is hashed with the rest of its
-    aligned batch of `gbm.STATE_BATCH` indices) and binned to the bits of a
-    slice built alone.  A slice depends on the seed, the sample count, the
-    one-step log law, the grid's log step and its level count, and on
-    nothing else: the operator is invariant under translation on a log
-    grid, so y_0 does not enter.
+    `Seed.stream(k)` (whose seed state `gbm` memoizes) and binned to the
+    bits of a slice built alone.  A slice depends on the seed, the sample
+    count, the one-step log law, the grid's log step and its level count,
+    and on nothing else: the operator is invariant under translation on a
+    log grid, so y_0 does not enter.
     `key` holds those.  Without `shared` only the current block is kept, at
     most BLOCK_DRAWS draws (one slice's above that).  A shared one, filed
     under its key in a drive's draw cache, keeps whole blocks from the top

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from carbonstop import GbmParams, PlantParams, Upgrade
+from carbonstop import GbmParams, PlantParams, Seed, Upgrade
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -14,6 +14,20 @@ def scratch_working_directory(tmp_path_factory):
     os.chdir(tmp_path_factory.mktemp("cwd"))
     yield
     os.chdir(checkout)
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The index tuples of every `Seed.stream` call."""
+    calls = []
+    stream = Seed.stream
+
+    def counting(seed, *indices):
+        calls.append(indices)
+        return stream(seed, *indices)
+
+    monkeypatch.setattr(Seed, "stream", counting)
+    return calls
 
 
 @pytest.fixture

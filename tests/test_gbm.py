@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carbonstop import ConfigError, GbmParams, NumericError, Seed, simulate_path
-from carbonstop.gbm import STATE_BATCH, _batch_states
+from carbonstop.gbm import _seed_state
 
 
 def test_params_validation():
@@ -24,7 +24,7 @@ def test_params_validation():
 def test_seed_validation():
     # A float seed, even an integral one, is refused here rather than by
     # numpy inside the first solve; a numpy integer is the same seed as an int.
-    for bad in (-1, 2**64, 2.0, 1.5, "3", None):
+    for bad in (-1, 2**64, 2.0, 1.5, "3", None, True):
         with pytest.raises(ConfigError, match="seed must be an integer"):
             Seed(bad)
     Seed(2**64 - 1)
@@ -32,31 +32,58 @@ def test_seed_validation():
     assert type(Seed(np.uint64(2**64 - 1)).value) is int
 
 
-@pytest.mark.parametrize("index", [-1, 2**64, 1.5], ids=["negative", "2^64", "fraction"])
+@pytest.mark.parametrize(
+    "index", [-1, 2**64, 1.5, True], ids=["negative", "2^64", "fraction", "bool"])
 def test_stream_refuses_an_index_outside_u64(index):
     with pytest.raises(ConfigError, match="stream index must be an integer"):
         Seed(0).stream(index)
 
 
 SEEDS = [0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1]
-# both sides of a batch edge and of 2^32, and the last index of a batch above it
+# small indices, both sides of 2^32 (where an index gains a second 32-bit word)
+# and the largest
 INDICES = [0, 1, 5, 255, 256, 300, 4096, 2**32 - 1, 2**32, 2**32 + 3, 2**32 + 255, 2**64 - 1]
 
 
 @pytest.mark.parametrize("value", SEEDS)
 def test_streams_are_numpys_seed_sequence_bit_for_bit(value):
-    # The batch hash is checked against numpy itself: the solver's reference
+    # Streams are checked against numpy itself: the solver's reference
     # kernels draw through Seed.stream too, so they cannot vouch for it.
     for index in INDICES:
         expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence([value, index])))
         assert np.array_equal(Seed(value).stream(index).standard_normal(7),
                               expected.standard_normal(7)), index
-    for batch in {index // STATE_BATCH for index in INDICES}:
-        states = _batch_states(value, batch)
-        assert states.shape == (STATE_BATCH, 4) and states.dtype == np.uint64
-        for row, state in enumerate(states):
-            sequence = np.random.SeedSequence([value, batch * STATE_BATCH + row])
-            assert np.array_equal(state, sequence.generate_state(4, np.uint64)), (batch, row)
+
+
+def numpy_stream(value, index):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([value, index])))
+
+
+def test_streams_sharing_a_memoized_state_draw_apart():
+    # Two generators opened on one (seed, index) share its state array but
+    # not PCG64's running state: drawn in turns, each is numpy's sequence.
+    first, second = Seed(7).stream(3), Seed(7).stream(3)
+    want_first, want_second = numpy_stream(7, 3), numpy_stream(7, 3)
+    for n in (1, 4, 2, 9):
+        assert np.array_equal(first.standard_normal(n), want_first.standard_normal(n))
+        assert np.array_equal(second.standard_normal(n), want_second.standard_normal(n))
+
+
+def test_stream_reopened_after_eviction_is_numpys():
+    expected = numpy_stream(3, 0).standard_normal(5)
+    Seed(3).stream(0)
+    for index in range(1, 1026):  # more pairs than the memo holds
+        Seed(3).stream(index)
+    misses = _seed_state.cache_info().misses
+    assert np.array_equal(Seed(3).stream(0).standard_normal(5), expected)
+    assert _seed_state.cache_info().misses == misses + 1  # hashed again
+
+
+def test_memoized_state_is_read_only():
+    state = _seed_state(5, 9)
+    assert state is _seed_state(5, 9)
+    with pytest.raises(ValueError, match="read-only"):
+        state[0] = 0
 
 
 def test_seed_streams_are_deterministic_and_distinct():
@@ -107,6 +134,19 @@ def test_simulate_path_zero_vol_is_exponential():
 def test_simulate_path_rejects_zero_steps():
     with pytest.raises(ConfigError):
         simulate_path(GbmParams(1.0, 0.0, 0.1), steps=0)
+
+
+@pytest.mark.parametrize(
+    "steps, dt, name",
+    [(2.5, 1.0, "steps"), (True, 1.0, "steps"), (10, -1.0, "dt"), (10, 0.0, "dt"),
+     (10, math.nan, "dt"), (10, math.inf, "dt")],
+    ids=["fraction-steps", "bool-steps", "negative-dt", "zero-dt", "nan-dt", "inf-dt"],
+)
+def test_simulate_path_refuses_bad_steps_and_dt(steps, dt, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=rf"^{name} must be"):
+            simulate_path(GbmParams(1.0, 0.0, 0.1), steps=steps, dt=dt)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import carbonstop.cli as cli
-import carbonstop.gbm as gbm
 import carbonstop.solver as solver
 from carbonstop.cli import main
 
@@ -70,15 +69,15 @@ def readme_number(text: str) -> int:
 
 
 def test_readme_solver_constants_match_the_code():
-    # Each `NAME = value` that README gives for a solver or draw constant is
-    # the code's value, so that neither drifts.
+    # Each `NAME = value` that README gives for a solver constant is the
+    # code's value, so that neither drifts.
     text = README.read_text(encoding="utf-8")
-    stated = [(name, value, module)
+    stated = [(name, value)
               for name, value in re.findall(r"`([A-Z][A-Z_]+) =\s+([^`]+)`", text)
-              for module in (solver, gbm) if hasattr(module, name)]
-    assert {name for name, _, _ in stated} >= {
+              if hasattr(solver, name)]
+    assert {name for name, _ in stated} >= {
         "BLOCK_DRAWS", "MAX_SAMPLES", "MAX_GRID_SIZE", "MAX_LATTICE_NODES",
-        "SHARED_DRAW_BYTES", "STATE_BATCH",
+        "SHARED_DRAW_BYTES",
     }, "README lost a solver constant"
-    for name, value, module in stated:
-        assert readme_number(value) == getattr(module, name), f"README's {name} = {value}"
+    for name, value in stated:
+        assert readme_number(value) == getattr(solver, name), f"README's {name} = {value}"

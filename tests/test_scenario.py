@@ -336,20 +336,6 @@ def test_upgrade_equals_independent_solves_on_its_grid(request, table):
         assert np.array_equal(bits(got.lower_bounds), bits(want.lower_bounds))
 
 
-@pytest.fixture
-def streams(monkeypatch):
-    """The index tuples of every `Seed.stream` call."""
-    calls = []
-    stream = Seed.stream
-
-    def counting(seed, *indices):
-        calls.append(indices)
-        return stream(seed, *indices)
-
-    monkeypatch.setattr(Seed, "stream", counting)
-    return calls
-
-
 def test_surface_draws_each_slice_once_within_the_cap(monkeypatch, streams):
     gbm, horizon, p_values = CRITERION_7
     config = SolverConfig(samples_per_node=1000, seed=Seed(42))

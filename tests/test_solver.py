@@ -499,7 +499,7 @@ def test_one_stencil_applies_to_many_continuations(case, scales):
         assert np.array_equal(kept.expected_positive_part(shifted), fresh)
 
 
-def test_draw_cache_holds_one_entry_per_key_and_serves_only_its_inputs(monkeypatch):
+def test_draw_cache_holds_one_entry_per_key_and_serves_only_its_inputs(streams):
     # Each variant differs from the first in one input that a slice depends
     # on; "grid size" has the log step of "grid step" and twice its levels.
     gbm, plant, config = small_case()
@@ -521,13 +521,7 @@ def test_draw_cache_holds_one_entry_per_key_and_serves_only_its_inputs(monkeypat
         assert same_bits(U, solve_backward(market, plant, settings, delta=delta).U)
     assert len(shared) == len(variants)
 
-    streams, stream = [], Seed.stream
-
-    def counting(seed, *indices):
-        streams.append(indices)
-        return stream(seed, *indices)
-
-    monkeypatch.setattr(Seed, "stream", counting)
+    streams.clear()
     shared = {}
     first = solve_backward(gbm, plant, config, shared).U
     second = solve_backward(gbm, plant, config, shared).U
@@ -868,7 +862,7 @@ def test_wide_block_has_a_uint16_row():
     [lambda k: k - 7, lambda k: k, lambda k: k + 1, lambda k: 2 * k + 3],
     ids=["T<K", "T=K", "T=K+1", "T=2K+3"],
 )
-def test_solve_across_block_edges_matches_its_reference(monkeypatch, samples, horizon):
+def test_solve_across_block_edges_matches_its_reference(streams, samples, horizon):
     # K slices a block: 40 at 200 samples, 8 at 1000.  The top block is full
     # and the last one holds what is left.  A standalone solve draws each
     # slice from its own stream exactly once.
@@ -876,13 +870,6 @@ def test_solve_across_block_edges_matches_its_reference(monkeypatch, samples, ho
     plant = PlantParams(0.014, 14.7, horizon(BLOCK_DRAWS // samples))
     config = SolverConfig(samples_per_node=samples, seed=Seed(7))
     time_grid = TimeGrid(plant.horizon)
-    streams, stream = [], Seed.stream
-
-    def counting(seed, *indices):
-        streams.append(indices)
-        return stream(seed, *indices)
-
-    monkeypatch.setattr(Seed, "stream", counting)
     U = solve_backward(gbm, plant, config).U
     assert sorted(streams) == [(i,) for i in range(time_grid.n_steps)]
     assert same_bits(U, reference_premium(gbm, plant, config, time_grid))
