@@ -21,7 +21,6 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, replace
-from datetime import datetime
 from pathlib import Path
 
 import click
@@ -30,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from .gbm import GbmParams, Seed
 from .market_data import (
-    DEFAULT_COLUMNS, estimate_gbm, load_price_csv, log_returns, split_at,
+    DEFAULT_COLUMNS, estimate_gbm, load_price_csv, log_returns, parse_date, split_at,
 )
 from .plant import PlantParams, Upgrade
 from .scenario import (
@@ -205,7 +204,7 @@ def _window(start, end, prefix: str) -> list:
     days = []
     for text, bound in ((start, "start"), (end, "end")):
         try:
-            day = None if text is None else datetime.strptime(text, "%Y-%m-%d").date()
+            day = None if text is None else parse_date(text)
         except ValueError as exc:
             raise ConfigError(f"{prefix}{bound} must be YYYY-MM-DD, got {text!r}") from exc
         days.append(day)

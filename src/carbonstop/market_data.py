@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 
 import numpy as np
 
 from .errors import DataError
 
 DEFAULT_COLUMNS = {"date": "date", "price": "close"}
+ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True)
@@ -55,11 +57,11 @@ class GbmEstimate:
     sample_count: int
 
 
-def _parse_date(text: str | None, line_no: int) -> date:
-    try:
-        return datetime.strptime(text.strip(), "%Y-%m-%d").date()
-    except (AttributeError, ValueError) as exc:  # None: the row ends before it
-        raise DataError(f"line {line_no}: unparseable date {text!r}") from exc
+def parse_date(text: str) -> date:
+    """The date of a zero-padded ASCII YYYY-MM-DD string, or a ValueError."""
+    if not ISO_DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
 
 
 def load_price_csv(path, columns: dict[str, str] | None = None) -> PriceSeries:
@@ -90,7 +92,11 @@ def load_price_csv(path, columns: dict[str, str] | None = None) -> PriceSeries:
                 )
         for row in reader:
             line_no = reader.line_num
-            dates.append(_parse_date(row[mapping["date"]], line_no))
+            text = row[mapping["date"]]
+            try:
+                dates.append(parse_date(text.strip()))
+            except (AttributeError, ValueError) as exc:  # None: the row ends before it
+                raise DataError(f"line {line_no}: unparseable date {text!r}") from exc
             try:
                 price = float(row[mapping["price"]])
             except (TypeError, ValueError) as exc:

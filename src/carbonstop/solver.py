@@ -202,7 +202,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """U and G on the time x price lattice; V = M*U + G is derived.
+    """U and G on the time x price lattice; `value_at` forms V = M*U + G.
 
     G[i, j] is `immediate_value` at (t_i, y_j), one call per node on Python
     floats in one pass over the lattice; the benchmark counts those calls
@@ -214,11 +214,6 @@ class ValueGrid:
     emission_rate: float
     U: np.ndarray  # shape (n_times, n_levels)
     G: np.ndarray
-
-    @property
-    def V(self) -> np.ndarray:
-        """The option value M*U + G, formed on each read."""
-        return self.emission_rate * self.U + self.G
 
 
 @dataclass(frozen=True)
@@ -415,13 +410,12 @@ def solve_backward(
     with one batch of normals binned on the grid: continuation values
     between levels are interpolated linearly in y, and a draw that leaves
     the grid reads the edge value (clamping).  Deterministic for a fixed
-    seed.  `shared` is a shared-grid drive's draw cache, a dict: the solve
-    takes its `SliceDraws` from it by their key, so they serve every solve
-    of the same inputs and no other.  Without it, each block of slices is
-    dropped once used.  A lattice of more than MAX_LATTICE_NODES nodes is a
-    ConfigError, refused before any of it is built.  The running term of
-    every row is formed in U before the recursion in three whole-lattice
-    operations, so a slice step adds its row to C and clamps C into it.
+    seed.  `shared` is a shared-grid drive's draw cache, a dict: a sigma > 0
+    solve takes its `SliceDraws` from it by their key, so they serve every
+    solve of the same inputs and no other (a sigma = 0 solve draws nothing).
+    Without it, each block of slices is dropped once used.  A lattice of
+    more than MAX_LATTICE_NODES nodes is a ConfigError, refused before any
+    of it is built.
 
     G is filled in one pass with one `immediate_value` call per node, row by
     row, on Python floats (`tolist`), not numpy scalars: the IEEE operations
@@ -435,27 +429,27 @@ def solve_backward(
     time_grid = TimeGrid(plant.horizon, delta)
     grid = config.resolve_grid(gbm, plant)
     check_lattice_nodes(time_grid, len(grid.levels), f"grid size {len(grid.levels) - 1}")
-    draws = SliceDraws(gbm, config, grid, delta, shared is not None)
-    if shared is not None:
-        draws = shared.setdefault(draws.key, draws)
 
     levels = grid.levels
     times = time_grid.times
     remaining = plant.horizon - times
-    p = plant.unit_profit
+    # U starts as the running term P - y*exp(mu*(T - t)) of every node, which
+    # sigma = 0 clamps and scales and sigma > 0 adds to C slice by slice;
+    # math.exp, since np.exp over the times is not bitwise the same.
+    growth = [math.exp(gbm.mu * r) for r in remaining.tolist()]
+    U = np.multiply(levels, np.array(growth)[:, None])
+    np.subtract(plant.unit_profit, U, out=U)
 
     if gbm.sigma == 0:
         # Along the deterministic path y*exp(mu*(T - t)) is constant, so the
         # recursion sums to U(t, y) = (T - t) * max(0, P - y*exp(mu*(T - t))).
-        horizon_price = np.exp(gbm.mu * remaining)[:, None] * levels
-        U = remaining[:, None] * np.maximum(0.0, p - horizon_price)
+        np.maximum(U, 0.0, out=U)
+        U *= remaining[:, None]
     else:
-        # Row i of U holds the running term delta*(P - y*exp(mu*(T - t_i)))
-        # until slice i overwrites it; math.exp, since np.exp over the times
-        # is not bitwise the same.
-        growth = [math.exp(gbm.mu * r) for r in remaining.tolist()]
-        U = np.multiply(levels, np.array(growth)[:, None])
-        np.subtract(p, U, out=U)
+        draws = SliceDraws(gbm, config, grid, delta, shared is not None)
+        if shared is not None:
+            draws = shared.setdefault(draws.key, draws)
+        # Row i of U holds delta times the running term until slice i overwrites it.
         U *= delta
         U[-1] = 0.0
         # C is the unclamped continuation estimate, U = max(0, C).
@@ -470,8 +464,8 @@ def solve_backward(
             # U[i] >= 0 and NaN propagates: a finite maximum means a finite row.
             if not np.maximum.reduce(np.maximum(0.0, C, out=U[i])) < math.inf:
                 raise NumericError(f"non-finite values in slice t={times[i]}")
+        del draws  # a standalone solve's last block, before G joins U
 
-    del draws  # a standalone solve's last block, before G joins U
     ts = chain.from_iterable(map(repeat, times.tolist(), repeat(len(levels))))
     ys = chain.from_iterable(repeat(levels.tolist(), len(times)))
     nodes = map(immediate_value, repeat(plant), repeat(gbm), ts, ys)

@@ -1,8 +1,9 @@
 import os
 
+import numpy as np
 import pytest
 
-from carbonstop import GbmParams, PlantParams, Seed, Upgrade
+from carbonstop import GbmParams, LatticeSpec, PlantParams, Seed, Upgrade, tree_solve
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -28,6 +29,33 @@ def streams(monkeypatch):
 
     monkeypatch.setattr(Seed, "stream", counting)
     return calls
+
+
+def one_cell(grid, value: float) -> float:
+    levels = grid.price_grid.levels
+    j = int(np.searchsorted(levels, value))
+    return grid.price_grid.cell_width_at(j)
+
+
+def tree_start_boundary(gbm, plant, tol: float, lo: float, hi: float) -> float:
+    """b(0) of the exact daily recombining tree, bisected on y0.
+
+    The smallest starting price whose root premium has fallen to `tol`;
+    `lo` must still carry a premium above `tol` and `hi` none.
+    """
+    spec = LatticeSpec(int(plant.horizon), 1.0)
+
+    def premium(y0: float) -> float:
+        return tree_solve(GbmParams(y0, gbm.mu, gbm.sigma), plant, spec).root_premium
+
+    assert premium(lo) > tol >= premium(hi), "bisection bracket does not straddle b(0)"
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if premium(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @pytest.fixture

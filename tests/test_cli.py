@@ -830,6 +830,10 @@ P_LIST = "p_values must be nonempty, positive and distinct"
         ("solve", "surface", {"T": 10, "p_step": "x"}, "surface.p_step"),
         ("solve", "estimate", {"csv": "no_such.csv", "start": "2020-13-06"},
          "estimate.start must be YYYY-MM-DD"),
+        ("solve", "estimate", {"csv": "no_such.csv", "start": "2019-1-5"},
+         "estimate.start must be YYYY-MM-DD, got '2019-1-5'"),
+        ("solve", "estimate", {"csv": "no_such.csv", "start": "2019-01- 5"},
+         "estimate.start must be YYYY-MM-DD, got '2019-01- 5'"),
         ("solve", "estimate", {"csv": "no_such.csv", "y0": -1.0}, "y0"),
         ("solve", "estimate", {"csv": "no_such.csv", "start": None},
          "estimate.start must be a string"),
@@ -861,7 +865,8 @@ P_LIST = "p_values must be nonempty, positive and distinct"
          "unknown key 'prices' in monitor"),
     ],
     ids=["solver-unknown-key", "plant-text", "unread-surface-text", "estimate-bad-date",
-         "estimate-bad-y0", "estimate-null-start", "estimate-empty-end",
+         "estimate-unpadded-month", "estimate-space-padded-day", "estimate-bad-y0",
+         "estimate-null-start", "estimate-empty-end",
          "unread-monitor-columns", "unread-plant-unknown-key",
          "unread-plant-text", "unread-plant-missing-key", "unread-monitor-unknown-key",
          "monitor-columns-text", "solver-smooth", "solve-lattice-cap",
@@ -904,6 +909,13 @@ def test_estimate_checks_the_window_before_the_file(runner):
     result = runner.invoke(main, ["estimate", "no_such.csv", "--start", "2020-13-06"])
     assert_config_error(result)
     assert "--start must be YYYY-MM-DD" in result.output
+
+
+@pytest.mark.parametrize("text", ["2019-1-5", "2019-01- 5"])
+def test_estimate_refuses_a_start_not_zero_padded(runner, text):
+    result = runner.invoke(main, ["estimate", "no_such.csv", "--start", text])
+    assert_config_error(result)
+    assert f"--start must be YYYY-MM-DD, got '{text}'" in result.output
 
 
 # --- sizes and windows refused before anything is built or read ---------------------

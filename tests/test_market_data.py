@@ -66,6 +66,14 @@ def test_load_bad_date_reports_line(tmp_path):
         load_price_csv(path)
 
 
+@pytest.mark.parametrize("text", ["2019-1-5", "2019-01- 5"])
+def test_load_date_not_zero_padded_reports_line(tmp_path, text):
+    # strptime's %m and %d take one digit or a space-padded one; YYYY-MM-DD does not
+    path = write_csv(tmp_path / "bad.csv", ["2019-01-04,9.5,0", f"{text},9.9,0"])
+    with pytest.raises(DataError, match=f"line 3: unparseable date '{text}'"):
+        load_price_csv(path)
+
+
 def test_load_bad_price_reports_line(tmp_path):
     path = write_csv(tmp_path / "bad.csv", ["2021-03-01,n/a,0"])
     with pytest.raises(DataError, match="line 2"):

@@ -236,7 +236,6 @@ def test_basic_invariants():
     grid = solve_backward(gbm, plant, config)
     assert (grid.U >= 0).all()
     assert (grid.U[-1] == 0).all()
-    assert (grid.V >= grid.G - 1e-9).all()
     assert grid.U.shape == (31, 81)
 
 
@@ -252,7 +251,7 @@ def test_solve_is_deterministic():
     a = solve_backward(gbm, plant, config)
     b = solve_backward(gbm, plant, config)
     assert np.array_equal(a.U, b.U)
-    assert np.array_equal(a.V, b.V)
+    assert np.array_equal(a.G, b.G)
     c = solve_backward(gbm, plant, SolverConfig(
         samples_per_node=500, grid_size=80, seed=Seed(6)))
     assert not np.array_equal(a.U, c.U)
@@ -393,15 +392,14 @@ def test_value_grid_matches_per_node_calls(sigma):
         return np.asarray(a, dtype=float).view(np.uint64)
 
     assert np.array_equal(bits(grid.G), bits(G))
-    assert np.array_equal(bits(grid.V), bits(plant.emission_rate * grid.U + G))
     assert np.array_equal(bits(boundary.lower_bounds), bits(lbs))
 
 
 @pytest.mark.parametrize("samples", [200, 2000, 8000])
 def test_solve_keeps_about_one_lattice_beside_its_result(samples):
-    # The result holds U and G and derives V; a third stored lattice would
-    # put the peak near three times U.  The slices are drawn in blocks of
-    # 40, 4 and 1 at these sample counts, and no block may set the peak.
+    # The result holds U and G; a third stored lattice would put the peak
+    # near three times U.  The slices are drawn in blocks of 40, 4 and 1 at
+    # these sample counts, and no block may set the peak.
     gbm = GbmParams(21.43, -0.0020, 0.0603)
     plant = PlantParams(0.014, 14.7, 246)
     # numpy imports numpy.random (and with it secrets, hashlib, ...) on first
@@ -426,7 +424,7 @@ def test_value_at():
     levels = grid.price_grid.levels
     u, v, g = value_at(grid, 0.0, float(levels[10]))
     assert u == pytest.approx(grid.U[0, 10])
-    assert v == pytest.approx(grid.V[0, 10])
+    assert v == pytest.approx(plant.emission_rate * grid.U[0, 10] + grid.G[0, 10])
     assert g == pytest.approx(grid.G[0, 10])
     with pytest.raises(ConfigError):
         value_at(grid, 0.3, float(levels[10]))
@@ -530,6 +528,17 @@ def test_draw_cache_holds_one_entry_per_key_and_serves_only_its_inputs(streams):
     assert same_bits(first, second)
 
 
+def test_zero_vol_solve_leaves_the_draw_cache_empty(streams):
+    # The sigma = 0 branch is closed form: it neither files draws nor opens
+    # a stream.
+    gbm, plant, config = small_case()
+    shared = {}
+    grid = solve_backward(GbmParams(gbm.y0, gbm.mu, 0.0), plant, config, shared)
+    assert shared == {}
+    assert streams == []
+    assert (grid.U > 0).any()
+
+
 # --- solver invariants on small lattices ------------------------------------
 
 
@@ -619,7 +628,7 @@ def test_boundary_nonincreasing_in_mu_on_shared_grid():
     # d_mu * delta; C stays nonincreasing in y through the interpolation and
     # the clamping, and the running term falls with mu.  So on one grid and
     # seed no row of b rises with mu.  (A larger sigma also lowers the
-    # draws' log drift, so no order in sigma is asserted.)
+    # draws' log drift, so the order in sigma below is measured, not proven.)
     plant = PlantParams(0.014, 14.7, 246)
     gbms = [GbmParams(21.43, float(mu), 0.0603) for mu in np.linspace(-0.004, 0.001, 11)]
     spans = [default_price_grid(gbm, plant).levels for gbm in gbms]
@@ -630,6 +639,24 @@ def test_boundary_nonincreasing_in_mu_on_shared_grid():
         config = SolverConfig(samples_per_node=2000, seed=Seed(seed), price_grid=grid)
         B = np.array([solve_boundary(gbm, plant, config)[1].values for gbm in gbms])
         assert (B[1:] <= B[:-1]).all()  # +inf (above the grid) compares too
+
+
+def test_boundary_nondecreasing_in_sigma_on_shared_grid_measured():
+    # Measured only, unlike the mu order above: no argument shows that b
+    # rises with sigma, since a larger sigma also lowers the draws' log drift
+    # -sigma^2/2.  On table 1's plant and mu, one grid and seeds 0-3, no row
+    # of b falls as sigma steps from 0.03 to 0.09 (6 steps x 247 times x 4
+    # seeds = 5928 pairs).
+    plant = PlantParams(0.014, 14.7, 246)
+    gbms = [GbmParams(21.43, -0.0020, float(s)) for s in np.linspace(0.03, 0.09, 7)]
+    spans = [default_price_grid(gbm, plant).levels for gbm in gbms]
+    grid = geometric_price_grid(
+        min(s[0] for s in spans), max(s[-1] for s in spans), solver.DEFAULT_GRID_SIZE
+    )
+    for seed in range(4):
+        config = SolverConfig(samples_per_node=2000, seed=Seed(seed), price_grid=grid)
+        B = np.array([solve_boundary(gbm, plant, config)[1].values for gbm in gbms])
+        assert (B[1:] >= B[:-1]).all()  # +inf (above the grid) compares too
 
 
 @pytest.mark.parametrize(
