@@ -26,7 +26,6 @@ from .solver import (
     Boundary,
     PriceGrid,
     SolverConfig,
-    TimeGrid,
     ValueGrid,
     default_price_grid,
     extract_boundary,

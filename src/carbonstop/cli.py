@@ -37,8 +37,7 @@ from .scenario import (
     surface,
 )
 from .solver import (
-    SolverConfig, TimeGrid, check_lattice_nodes, geometric_price_grid, solve_boundary,
-    time_index,
+    SolverConfig, geometric_price_grid, lattice_steps, solve_boundary, time_index,
 )
 
 # The exit code of each error a command may raise; 0 is success.
@@ -194,7 +193,7 @@ def _plant(config: dict, solver_config: SolverConfig, upgrades: bool = False) ->
         raise ConfigError("plant config has no 'upgrade' block")
     plant = PlantParams(block["M"], block["P"], block["T"])
     size = solver_config.grid_size
-    check_lattice_nodes(TimeGrid(plant.horizon), size + 1, f"grid size {size}")
+    lattice_steps(plant.horizon, size + 1, f"grid size {size}")
     return plant
 
 
@@ -341,7 +340,7 @@ def monitor_cmd(config, load_gbm, solver_config, out_dir):
     block = _required(config, "monitor")
     gbm = load_gbm()
     series = load_price_csv(block["prices_csv"], columns=block.get("columns"))
-    prices = check_prices(series.prices, TimeGrid(plant.horizon).n_steps + 1)
+    prices = check_prices(series.prices, round(plant.horizon) + 1)
     _, boundary = solve_boundary(gbm, plant, solver_config)
     report = monitor(boundary, prices)
     _write_outputs(out_dir, {"monitor.json": _json_writer(asdict(report))})
@@ -368,7 +367,6 @@ def upgrade_cmd(config, load_gbm, solver_config, out_dir):
 def surface_cmd(config, load_gbm, solver_config, out_dir):
     """Sweep unit-profit levels into a stopping surface B(t, p)."""
     block = _required(config, "surface")
-    time_grid = TimeGrid(block["T"])
     if ("p_values" in block) == any(key in block for key in P_RANGE):
         raise ConfigError(
             "surface config needs exactly one of 'p_values' or p_start/p_stop/p_step"
@@ -381,20 +379,20 @@ def surface_cmd(config, load_gbm, solver_config, out_dir):
         if step <= 0:
             raise ConfigError(f"surface.p_step must be positive, got {step}")
         count, key = (stop + 1e-9 - start) / step, "surface.p_step"  # np.arange's length
-    check_lattice_nodes(time_grid, count, f"{key} giving {count:.6g} P levels")
-    size = solver_config.grid_size
-    check_lattice_nodes(time_grid, size + 1, f"grid size {size}")
+    horizon, size = block["T"], solver_config.grid_size
+    lattice_steps(horizon, count, f"{key} giving {count:.6g} P levels")
+    n_steps = lattice_steps(horizon, size + 1, f"grid size {size}")
     if "p_values" not in block:
         p_values = np.arange(start, stop + 1e-9, step)
     p_values = p_levels(p_values)
     query = block.get("survival_query")
     if query is not None:
         t, y = query["t"], query["y"]
-        time_index(time_grid.times, t)
+        time_index(np.arange(n_steps + 1.0), t)
         if y <= 0:
             raise ConfigError(f"surface.survival_query.y must be positive, got {y}")
     gbm = load_gbm()
-    surf = surface(gbm, block["T"], p_values, solver_config)
+    surf = surface(gbm, horizon, p_values, solver_config)
     summary = {"seed": solver_config.seed.value, "p_values": surf.p_values.tolist()}
     if query is not None:
         summary["min_survival_p"] = min_survival_p(surf, t, y)

@@ -8,6 +8,7 @@ at the log-drift mu_hat - sigma_hat^2/2 (README, "CLI").
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import re
@@ -146,6 +147,6 @@ def split_at(series: PriceSeries, cutoff: date) -> tuple[PriceSeries, PriceSerie
             f"cutoff {cutoff} outside date range "
             f"[{series.dates[0]}, {series.dates[-1]}]"
         )
-    k = sum(1 for d in series.dates if d < cutoff)
+    k = bisect.bisect_left(series.dates, cutoff)
     dates, prices = series.dates, series.prices
     return PriceSeries(dates[:k], prices[:k]), PriceSeries(dates[k:], prices[k:])

@@ -22,10 +22,9 @@ from .plant import PlantParams, Upgrade
 from .solver import (
     Boundary,
     SolverConfig,
-    TimeGrid,
-    check_lattice_nodes,
     default_price_grid,
     geometric_price_grid,
+    lattice_steps,
     solve_boundary,
     time_index,
 )
@@ -162,7 +161,7 @@ class SurfaceGrid:
             p_values = self.p_values.tolist()
             for t, row in zip(self.times.tolist(), self.B.tolist()):
                 for p, b in zip(p_values, row):
-                    writer.writerow([f"{t:.6g}", f"{p:.6g}", f"{b:.6g}"])
+                    writer.writerow([f"{t:.15g}", f"{p:.6g}", f"{b:.6g}"])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -197,7 +196,7 @@ def surface(
     solved with M = 1; the sweep's size is checked before any plant is built.
     """
     p_values = p_levels(p_values)
-    check_lattice_nodes(TimeGrid(horizon), len(p_values), f"{len(p_values)} P levels")
+    lattice_steps(horizon, len(p_values), f"{len(p_values)} P levels")
     plants = [
         PlantParams(emission_rate=1.0, unit_profit=float(p), horizon=horizon)
         for p in p_values

@@ -60,33 +60,27 @@ SHARED_DRAW_BYTES = 32 * 2**20
 BLOCK_DRAWS = 2**13
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform decision times t_0 = 0 < ... < t_n = T."""
-
-    horizon: float
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.delta < math.inf):
-            raise ConfigError(
-                f"time step must be positive and finite, got {self.delta}"
-            )
-        if not math.isfinite(self.horizon):
-            raise ConfigError(f"horizon must be finite, got {self.horizon}")
-        n = self.horizon / self.delta
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ConfigError(
-                f"horizon {self.horizon} is not a positive multiple of delta {self.delta}"
-            )
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.horizon / self.delta))
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.delta
+def lattice_steps(horizon: float, columns: float, what: str, delta: float = 1.0) -> int:
+    """The step count n of the decision times t_i = i * delta, i = 0..n, up
+    to `horizon`, checked before anything is built: `delta` must be positive
+    and finite, the horizon a positive multiple of it, and the n + 1 times by
+    `columns` price or P levels, named by `what`, at most MAX_LATTICE_NODES
+    nodes.  Anything else is a ConfigError."""
+    if not (0 < delta < math.inf):
+        raise ConfigError(f"time step must be positive and finite, got {delta}")
+    if not math.isfinite(horizon):
+        raise ConfigError(f"horizon must be finite, got {horizon}")
+    n = horizon / delta
+    steps = round(n) if n < math.inf else n  # inf: refused as too many nodes
+    if abs(n - steps) > 1e-9 or steps < 1:
+        raise ConfigError(f"horizon {horizon} is not a positive multiple of delta {delta}")
+    nodes = float(steps + 1) * columns  # inf past the floats
+    if nodes > MAX_LATTICE_NODES:
+        raise ConfigError(
+            f"T={horizon:g} at delta={delta:g} with {what} makes {nodes:.6g} lattice "
+            f"nodes, more than MAX_LATTICE_NODES = {MAX_LATTICE_NODES}"
+        )
+    return steps
 
 
 @dataclass(frozen=True)
@@ -194,22 +188,15 @@ class SolverConfig:
         if grid is not None and len(grid.levels) > MAX_GRID_SIZE + 1:
             raise ConfigError(f"price_grid must have at most {MAX_GRID_SIZE} cells")
 
-    def resolve_grid(self, gbm: GbmParams, plant: PlantParams) -> PriceGrid:
-        if self.price_grid is not None:
-            return self.price_grid
-        return default_price_grid(gbm, plant, self.grid_size)
-
 
 @dataclass(frozen=True)
 class ValueGrid:
     """U and G on the time x price lattice; `value_at` forms V = M*U + G.
 
-    G[i, j] is `immediate_value` at (t_i, y_j), one call per node on Python
-    floats in one pass over the lattice; the benchmark counts those calls
-    until G becomes a closed-form array (ROADMAP items 2 and 3).
+    G[i, j] is `immediate_value` at (t_i, y_j).
     """
 
-    time_grid: TimeGrid
+    times: np.ndarray  # t_i = i * delta, i = 0..n_steps
     price_grid: PriceGrid
     emission_rate: float
     U: np.ndarray  # shape (n_times, n_levels)
@@ -245,7 +232,7 @@ class Boundary:
                 self.lower_bounds.tolist(),
             ):
                 b_txt = f"{b:.6g}" if s == FOUND else ""
-                writer.writerow([f"{t:.6g}", b_txt, s, f"{lb:.6g}"])
+                writer.writerow([f"{t:.15g}", b_txt, s, f"{lb:.6g}"])
 
 
 class _Stencil(NamedTuple):
@@ -385,18 +372,6 @@ class SliceDraws:
         return self._block[i]
 
 
-def check_lattice_nodes(time_grid: TimeGrid, columns: float, what: str) -> None:
-    """Refuse more than MAX_LATTICE_NODES nodes, the grid's times by
-    `columns` price or P levels, named by `what`, before any is built."""
-    nodes = float(time_grid.n_steps + 1) * columns  # inf past the floats
-    if nodes > MAX_LATTICE_NODES:
-        raise ConfigError(
-            f"T={time_grid.horizon:g} at delta={time_grid.delta:g} with {what} "
-            f"makes {nodes:.6g} lattice nodes, more than "
-            f"MAX_LATTICE_NODES = {MAX_LATTICE_NODES}"
-        )
-
-
 def solve_backward(
     gbm: GbmParams,
     plant: PlantParams,
@@ -415,7 +390,7 @@ def solve_backward(
     solve of the same inputs and no other (a sigma = 0 solve draws nothing).
     Without it, each block of slices is dropped once used.  A lattice of
     more than MAX_LATTICE_NODES nodes is a ConfigError, refused before any
-    of it is built.
+    of it, or the default price grid, is built.
 
     G is filled in one pass with one `immediate_value` call per node, row by
     row, on Python floats (`tolist`), not numpy scalars: the IEEE operations
@@ -426,12 +401,14 @@ def solve_backward(
     """
     check_drift(gbm, plant.horizon)
     config = config or SolverConfig()
-    time_grid = TimeGrid(plant.horizon, delta)
-    grid = config.resolve_grid(gbm, plant)
-    check_lattice_nodes(time_grid, len(grid.levels), f"grid size {len(grid.levels) - 1}")
+    grid = config.price_grid
+    size = config.grid_size if grid is None else len(grid.levels) - 1
+    n_steps = lattice_steps(plant.horizon, size + 1, f"grid size {size}", delta)
+    if grid is None:
+        grid = default_price_grid(gbm, plant, size)
 
     levels = grid.levels
-    times = time_grid.times
+    times = np.arange(n_steps + 1) * delta
     remaining = plant.horizon - times
     # U starts as the running term P - y*exp(mu*(T - t)) of every node, which
     # sigma = 0 clamps and scales and sigma > 0 adds to C slice by slice;
@@ -458,7 +435,7 @@ def solve_backward(
         # overshoot at that kink and bias the boundary upward by several
         # grid cells.
         C = np.zeros(len(levels))
-        for i in range(time_grid.n_steps - 1, -1, -1):
+        for i in range(n_steps - 1, -1, -1):
             C = draws[i].expected_positive_part(C)
             C += U[i]
             # U[i] >= 0 and NaN propagates: a finite maximum means a finite row.
@@ -470,7 +447,7 @@ def solve_backward(
     ys = chain.from_iterable(repeat(levels.tolist(), len(times)))
     nodes = map(immediate_value, repeat(plant), repeat(gbm), ts, ys)
     G = np.fromiter(nodes, float, U.size).reshape(U.shape)
-    return ValueGrid(time_grid, grid, plant.emission_rate, U, G)
+    return ValueGrid(times, grid, plant.emission_rate, U, G)
 
 
 def stop_tolerance(plant: PlantParams, config: SolverConfig | None = None) -> float:
@@ -493,7 +470,7 @@ def extract_boundary(grid: ValueGrid, gbm: GbmParams, plant: PlantParams) -> Bou
     to prices at/above P, pinning b(T) to P within a grid cell.
     """
     levels = grid.price_grid.levels
-    times = grid.time_grid.times
+    times = grid.times
     stops = grid.U <= stop_tolerance(plant)
     stops[-1] = levels >= plant.unit_profit
     values = np.where(stops.any(axis=1), levels[np.argmax(stops, axis=1)], np.inf)
@@ -525,7 +502,7 @@ def value_at(grid: ValueGrid, t: float, y: float) -> tuple[float, float, float]:
 
     Refuses to extrapolate: y must lie inside [y_0, y_m].
     """
-    i = time_index(grid.time_grid.times, t)
+    i = time_index(grid.times, t)
     levels = grid.price_grid.levels
     if not (levels[0] <= y <= levels[-1]):
         raise NumericError(f"y={y} outside price grid [{levels[0]}, {levels[-1]}]")

@@ -18,6 +18,7 @@ from carbonstop import (
     Seed,
     SolverConfig,
     apply_upgrade,
+    default_price_grid,
     enumerate_policies,
     estimate_gbm,
     lower_bound,
@@ -281,7 +282,7 @@ def test_criterion_5_structural_invariants():
             samples_per_node=128,
             grid_size=40,
             seed=Seed(k),
-            price_grid=config.resolve_grid(gbm, plant),
+            price_grid=default_price_grid(gbm, plant, config.grid_size),
         )
 
         grid, boundary = solve_boundary(gbm, plant, shared)

@@ -857,6 +857,8 @@ P_LIST = "p_values must be nonempty, positive and distinct"
          "horizon 49.5 is not a positive multiple of delta 1.0"),
         ("upgrade", "plant", {"M": 0.014, "P": 14.7, "T": 49, "upgrade": UPGRADE},
          "upgrade effective day 60.0 must lie in [0, T=49.0]"),
+        ("surface", "surface", {"T": 149.5, "p_values": [10]},
+         "horizon 149.5 is not a positive multiple of delta 1.0"),
         ("surface", "surface", {"T": 10, "p_values": []}, P_LIST),
         ("surface", "surface", {"T": 10, "p_values": [-1, 5]}, P_LIST),
         ("surface", "surface", {"T": 10, "p_values": [5, 5]}, P_LIST),
@@ -871,8 +873,9 @@ P_LIST = "p_values must be nonempty, positive and distinct"
          "unread-plant-text", "unread-plant-missing-key", "unread-monitor-unknown-key",
          "monitor-columns-text", "solver-smooth", "solve-lattice-cap",
          "monitor-lattice-cap", "upgrade-lattice-cap", "solve-horizon-off-grid",
-         "upgrade-day-after-horizon", "surface-no-p", "surface-negative-p",
-         "surface-repeated-p", "solver-stop-tol-scale", "monitor-inline-prices"],
+         "upgrade-day-after-horizon", "surface-horizon-off-grid", "surface-no-p",
+         "surface-negative-p", "surface-repeated-p", "solver-stop-tol-scale",
+         "monitor-inline-prices"],
 )
 def test_whole_config_checked_before_any_file(runner, tmp_path, monkeypatch, command,
                                               section, block, message):
@@ -941,7 +944,6 @@ def test_surface_over_the_node_cap_exits_2(runner, tmp_path, monkeypatch, block,
         raise AssertionError("an array was built before the sweep size was checked")
 
     fail_if_called(monkeypatch)
-    monkeypatch.setattr(cli.TimeGrid, "times", property(not_built))
     monkeypatch.setattr(cli.np, "arange", not_built)
     payload = surface_config()
     payload["surface"] = block

@@ -254,6 +254,19 @@ def test_surface_csv_golden_text(tmp_path):
     )
 
 
+def test_csv_times_keep_every_digit_past_a_million(tmp_path):
+    # a daily lattice within MAX_LATTICE_NODES reaches T = 22 369 620 at grid 2
+    times = np.arange(999999.0, 1000003.0)
+    surf = SurfaceGrid(p_values=np.array([5.0]), times=times, B=np.full((4, 1), 2.0))
+    surf.to_long_csv(tmp_path / "surface.csv")
+    boundary = Boundary(times=times, values=np.full(4, 2.0), lower_bounds=np.zeros(4))
+    boundary.to_csv(tmp_path / "boundary.csv")
+    for name in ("surface.csv", "boundary.csv"):
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [
+            "999999", "1000000", "1000001", "1000002"], name
+
+
 def test_min_survival_p_edge_cases(small_surface):
     surf = small_surface
     # below every boundary slice at t=0 -> the smallest swept level

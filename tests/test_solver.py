@@ -19,7 +19,6 @@ from carbonstop import (
     PriceGrid,
     Seed,
     SolverConfig,
-    TimeGrid,
     default_price_grid,
     extract_boundary,
     geometric_price_grid,
@@ -37,6 +36,7 @@ from carbonstop.solver import (
     MAX_LATTICE_NODES,
     MAX_SAMPLES,
     _Stencil,
+    lattice_steps,
     stop_tolerance,
 )
 
@@ -56,19 +56,24 @@ def small_case(seed=0, **overrides):
 # --- grids and config ---------------------------------------------------
 
 
-def test_time_grid():
-    grid = TimeGrid(horizon=10, delta=2.5)
-    assert grid.n_steps == 4
-    assert np.allclose(grid.times, [0, 2.5, 5, 7.5, 10])
-    with pytest.raises(ConfigError):
-        TimeGrid(horizon=10, delta=3.0)
-    with pytest.raises(ConfigError):
-        TimeGrid(horizon=10, delta=0.0)
-    with pytest.raises(ConfigError):
-        TimeGrid(horizon=0, delta=1.0)
-    for bad in ((math.inf, 1.0), (math.nan, 1.0), (10, math.inf), (10, math.nan)):
+def test_lattice_steps():
+    assert lattice_steps(10, 3, "3 levels", delta=2.5) == 4
+    assert lattice_steps(49, 201, "grid size 200", delta=4.9) == 10
+    with pytest.raises(ConfigError, match="not a positive multiple of delta 3.0"):
+        lattice_steps(10, 3, "3 levels", delta=3.0)
+    with pytest.raises(ConfigError, match="time step must be positive"):
+        lattice_steps(10, 3, "3 levels", delta=0.0)
+    with pytest.raises(ConfigError, match="horizon 0 is not a positive multiple"):
+        lattice_steps(0, 3, "3 levels")
+    for horizon, delta in ((math.inf, 1), (math.nan, 1), (10, math.inf), (10, math.nan)):
         with pytest.raises(ConfigError, match="finite"):
-            TimeGrid(*bad)
+            lattice_steps(horizon, 3, "3 levels", delta=delta)
+    with pytest.raises(ConfigError, match="makes inf lattice nodes"):
+        lattice_steps(1, 3, "3 levels", delta=1e-310)  # 1 / 1e-310 overflows
+    # 11 times by 2**26 // 11 levels fit; one level more does not
+    assert lattice_steps(10, MAX_LATTICE_NODES // 11, "many levels") == 10
+    with pytest.raises(ConfigError, match="T=10 at delta=1 with many levels makes"):
+        lattice_steps(10, MAX_LATTICE_NODES // 11 + 1, "many levels")
 
 
 def test_price_grid_validation():
@@ -263,7 +268,7 @@ def test_boundary_invariant_under_emission_rate():
         samples_per_node=500,
         grid_size=80,
         seed=Seed(0),
-        price_grid=config.resolve_grid(gbm, plant),
+        price_grid=default_price_grid(gbm, plant, config.grid_size),
     )
     _, b1 = solve_boundary(gbm, plant, shared)
     scaled = PlantParams(plant.emission_rate * 7, plant.unit_profit, plant.horizon)
@@ -297,7 +302,7 @@ def test_zero_vol_premium_matches_closed_form():
     config = SolverConfig(samples_per_node=200, grid_size=120, seed=Seed(0))
     grid = solve_backward(gbm, plant, config)
     levels = grid.price_grid.levels
-    for i, t in enumerate(grid.time_grid.times):
+    for i, t in enumerate(grid.times):
         remaining = 30 - t
         exact = np.maximum(0.0, remaining * (14.7 - levels * np.exp(gbm.mu * remaining)))
         assert np.allclose(grid.U[i], exact, rtol=1e-6, atol=1e-4)
@@ -384,7 +389,7 @@ def test_value_grid_matches_per_node_calls(sigma):
     gbm = GbmParams(21.43, -0.0020, sigma)
     plant = PlantParams(0.014, 14.7, 246)
     grid, boundary = solve_boundary(gbm, plant, SolverConfig(seed=Seed(3)))
-    times, levels = grid.time_grid.times, grid.price_grid.levels
+    times, levels = grid.times, grid.price_grid.levels
     G = np.array([[immediate_value(plant, gbm, t, y) for y in levels] for t in times])
     lbs = np.array([lower_bound(plant, gbm, t) for t in times])
 
@@ -585,13 +590,20 @@ def test_boundary_nondecreasing_in_p_on_shared_grid(case, steps):
 
 @settings(deadline=None, max_examples=40)
 @given(case=small_solves(sigma=st.just(0.0)))
+# P - y*exp(mu*(T - t)) cancels to 0.06 at node (4, 17): an exp one ulp off
+# there moves the difference by more than rtol
+@example(case=(GbmParams(45.4375, -0.009925218551528264, 0.0),
+               PlantParams(0.0625, 27.6875, 24),
+               SolverConfig(samples_per_node=100, grid_size=38, seed=Seed(0))))
 def test_zero_vol_solve_matches_closed_form(case):
     gbm, plant, config = case
     grid, boundary = solve_boundary(gbm, plant, config)
     levels = grid.price_grid.levels
-    remaining = plant.horizon - grid.time_grid.times
+    remaining = plant.horizon - grid.times
+    # math.exp, as the solve takes it: np.exp may differ in the last bit
+    growth = np.array([math.exp(gbm.mu * r) for r in remaining.tolist()])
     exact = remaining[:, None] * np.maximum(
-        0.0, plant.unit_profit - levels * np.exp(gbm.mu * remaining)[:, None])
+        0.0, plant.unit_profit - levels * growth[:, None])
     assert np.allclose(grid.U, exact, rtol=1e-12, atol=0.0)
     for b, lb in zip(boundary.values, boundary.lower_bounds):
         j = int(np.searchsorted(levels, b))
@@ -666,11 +678,13 @@ def test_boundary_nondecreasing_in_sigma_on_shared_grid_measured():
 def test_lattice_over_the_node_cap_is_refused_before_it_is_built(monkeypatch, horizon,
                                                                   grid_size):
     # 3357 times x 20001 levels is just over 2**26 nodes; the others would
-    # ask numpy for GiB to TiB, or more than it can index
-    def no_times(self):
-        raise AssertionError("the time grid was built before the lattice was checked")
+    # ask numpy for GiB to TiB, or more than it can index.  Neither the times
+    # nor the default price grid may be built first.
+    def not_built(*args, **kwargs):
+        raise AssertionError("an array was built before the lattice was checked")
 
-    monkeypatch.setattr(TimeGrid, "times", property(no_times))
+    monkeypatch.setattr(np, "arange", not_built)
+    monkeypatch.setattr(np, "geomspace", not_built)
     gbm, plant = GbmParams(21.43, 0.0, 0.0), PlantParams(0.014, 14.7, horizon)
     with pytest.raises(ConfigError, match="MAX_LATTICE_NODES") as info:
         solve_boundary(gbm, plant, SolverConfig(grid_size=grid_size))
@@ -725,17 +739,18 @@ def reference_apply(stencil, C):
     return total / len(w)
 
 
-def reference_premium(gbm, plant, config, time_grid):
-    """U of `solve_backward` (sigma > 0) by the reference kernel and slice
-    step, each slice drawn from its own stream."""
-    grid = config.resolve_grid(gbm, plant)
-    levels, times = grid.levels, time_grid.times
+def reference_premium(gbm, plant, config, delta=1.0):
+    """U of `solve_backward` (sigma > 0) on the default price grid, by the
+    reference kernel and slice step, each slice drawn from its own stream."""
+    grid = default_price_grid(gbm, plant, config.grid_size)
+    n_steps = round(plant.horizon / delta)
+    levels, times = grid.levels, np.arange(n_steps + 1) * delta
     remaining = plant.horizon - times
-    drift, vol = gbm.log_increment(time_grid.delta)
-    delta, p = time_grid.delta, plant.unit_profit
+    drift, vol = gbm.log_increment(delta)
+    p = plant.unit_profit
     U = np.zeros((len(times), len(levels)))
     C = np.zeros(len(levels))
-    for i in range(time_grid.n_steps - 1, -1, -1):
+    for i in range(n_steps - 1, -1, -1):
         z = config.seed.stream(i).standard_normal(config.samples_per_node)
         stencil = reference_build(drift + vol * z, grid.log_step, len(levels))
         cont = reference_apply(stencil, C)
@@ -784,9 +799,8 @@ def test_stencil_kernel_matches_its_reference_bit_for_bit(case):
 @given(case=small_solves(), delta=st.sampled_from([1.0, 0.5, 0.2]))
 def test_slice_step_matches_its_reference_bit_for_bit(case, delta):
     gbm, plant, config = case
-    time_grid = TimeGrid(plant.horizon, delta)
     assert same_bits(solve_backward(gbm, plant, config, delta=delta).U,
-                     reference_premium(gbm, plant, config, time_grid))
+                     reference_premium(gbm, plant, config, delta))
 
 
 @pytest.mark.parametrize(
@@ -797,9 +811,9 @@ def test_slice_step_matches_its_reference_bit_for_bit(case, delta):
     ids=["table1", "near-float-ceiling", "table2-in-steps-of-4.9"],
 )
 def test_default_solve_matches_its_reference_bit_for_bit(gbm, plant, delta):
-    config, time_grid = SolverConfig(seed=Seed(4)), TimeGrid(plant.horizon, delta)
+    config = SolverConfig(seed=Seed(4))
     assert same_bits(solve_backward(gbm, plant, config, delta=delta).U,
-                     reference_premium(gbm, plant, config, time_grid))
+                     reference_premium(gbm, plant, config, delta))
 
 
 def signed_continuation(rng, n, kind):
@@ -896,10 +910,9 @@ def test_solve_across_block_edges_matches_its_reference(streams, samples, horizo
     gbm = GbmParams(21.43, -0.0020, 0.0603)
     plant = PlantParams(0.014, 14.7, horizon(BLOCK_DRAWS // samples))
     config = SolverConfig(samples_per_node=samples, seed=Seed(7))
-    time_grid = TimeGrid(plant.horizon)
     U = solve_backward(gbm, plant, config).U
-    assert sorted(streams) == [(i,) for i in range(time_grid.n_steps)]
-    assert same_bits(U, reference_premium(gbm, plant, config, time_grid))
+    assert sorted(streams) == [(i,) for i in range(int(plant.horizon))]
+    assert same_bits(U, reference_premium(gbm, plant, config))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
